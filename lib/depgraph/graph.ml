@@ -86,10 +86,6 @@ let mark_upwards_exposed g aid = Hashtbl.replace g.upwards_exposed aid ()
 let mark_downwards_exposed g aid = Hashtbl.replace g.downwards_exposed aid ()
 let mark_killed_after_loop g aid = Hashtbl.replace g.killed_after_loop aid ()
 
-let bump_count g aid =
-  Hashtbl.replace g.dyn_counts aid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt g.dyn_counts aid))
-
 let edges g = Hashtbl.fold (fun e () acc -> e :: acc) g.edges []
 let is_upwards_exposed g aid = Hashtbl.mem g.upwards_exposed aid
 let is_downwards_exposed g aid = Hashtbl.mem g.downwards_exposed aid

@@ -87,21 +87,25 @@ let oracle_of (prog : Ast.program)
   let bufs : (Ast.aid, Buffer.t) Hashtbl.t = Hashtbl.create 64 in
   let m = Interp.Machine.load prog in
   let st = m.Interp.Machine.st in
-  st.Interp.Machine.observer <-
-    Some
-      (fun aid kind addr size ->
-        if Hashtbl.mem monitored aid then begin
-          let buf =
-            match Hashtbl.find_opt bufs aid with
-            | Some b -> b
-            | None ->
-              let b = Buffer.create 256 in
-              Hashtbl.replace bufs aid b;
-              b
-          in
-          Buffer.add_char buf (kind_char kind);
-          Buffer.add_int64_le buf (Interp.Memory.load st.Interp.Machine.mem addr size)
-        end);
+  (* with nothing monitored (the caller wants only output, exit code
+     and finals) the run is a plain one *)
+  if Hashtbl.length monitored > 0 then
+    st.Interp.Machine.observer <-
+      Some
+        (fun aid kind addr size ->
+          if Hashtbl.mem monitored aid then begin
+            let buf =
+              match Hashtbl.find_opt bufs aid with
+              | Some b -> b
+              | None ->
+                let b = Buffer.create 256 in
+                Hashtbl.replace bufs aid b;
+                b
+            in
+            Buffer.add_char buf (kind_char kind);
+            Buffer.add_int64_le buf
+              (Interp.Memory.load st.Interp.Machine.mem addr size)
+          end);
   let exit_code = Interp.Machine.run m in
   let streams = Hashtbl.create 64 in
   Hashtbl.iter (fun aid b -> Hashtbl.replace streams aid (Buffer.to_bytes b)) bufs;

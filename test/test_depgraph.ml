@@ -294,6 +294,29 @@ let loop_stats () =
   Alcotest.(check bool) "loop within total" true
     (g.Depgraph.Graph.loop_cycles <= g.Depgraph.Graph.total_cycles)
 
+(* --- Profiling allocates about what a plain run does: the shadow
+   state lives in preallocated int arrays and repeated edges never
+   reach the graph, so no allocation per access can creep back. Minor
+   words are exact for a deterministic run, unlike timings. --- *)
+let profile_allocation_bound () =
+  let w = Workloads.Registry.find "md5" in
+  let p =
+    Typecheck.parse_and_check ~file:w.Workloads.Workload.name
+      w.Workloads.Workload.source
+  in
+  let lid = List.hd p.Ast.parallel_loops in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  let run = words (fun () -> Interp.Machine.run_program p) in
+  let prof = words (fun () -> Depgraph.Profiler.profile p lid) in
+  Alcotest.(check bool)
+    (Printf.sprintf "profile %.0f minor words <= 1.1 x run %.0f" prof run)
+    true
+    (prof <= 1.1 *. run)
+
 (* --- Union-find properties. --- *)
 let uf_tests =
   let open QCheck in
@@ -349,6 +372,8 @@ let () =
           Alcotest.test_case "recycled heap" `Quick
             recycled_heap_no_carried_flow;
           Alcotest.test_case "loop stats" `Quick loop_stats;
+          Alcotest.test_case "md5 allocation bound" `Quick
+            profile_allocation_bound;
         ] );
       ("union-find", uf_tests);
     ]

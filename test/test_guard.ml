@@ -105,7 +105,26 @@ let contract_tests =
         in
         Guard.Contract.finalize (Option.get !checker);
         Alcotest.(check string) "output" oracle.Guard.Contract.o_output
-          pr.Parexec.Sim.pr_output);
+          pr.Parexec.Sim.pr_output;
+        (* with no analyses nothing is monitored: no streams, and the
+           unobserved run ends exactly as the observed one *)
+        let plain = Guard.Contract.oracle_of prog [] in
+        let finals o =
+          List.sort compare
+            (Hashtbl.fold
+               (fun x v acc -> (x, v) :: acc)
+               o.Guard.Contract.o_finals [])
+        in
+        Alcotest.(check bool) "observed run has streams" true
+          (Hashtbl.length oracle.Guard.Contract.o_streams > 0);
+        Alcotest.(check int) "no streams" 0
+          (Hashtbl.length plain.Guard.Contract.o_streams);
+        Alcotest.(check string) "same output" oracle.Guard.Contract.o_output
+          plain.Guard.Contract.o_output;
+        Alcotest.(check int) "same exit code" oracle.Guard.Contract.o_exit
+          plain.Guard.Contract.o_exit;
+        Alcotest.(check (list (pair string string)))
+          "same finals" (finals oracle) (finals plain));
     Alcotest.test_case "revalidation rejects an unprovable privatization"
       `Quick (fun () ->
         let prog, analyses = setup_src "accum" accum_src in

@@ -1,8 +1,9 @@
-(* End-to-end pipeline tests over the sample .c programs shipped in
-   examples/programs: each must parse, analyze, expand, preserve
-   output sequentially at several thread counts, and match under the
-   simulated parallel schedule. This is the coverage the dsexpand CLI
-   relies on for user-supplied files. *)
+(* End-to-end pipeline tests over the sample .c programs in
+   test/programs: each must parse, analyze to its golden
+   dependence-graph digests, expand, preserve output sequentially at
+   several thread counts, and match under the simulated parallel
+   schedule. This is the coverage the dsexpand CLI relies on for
+   user-supplied files. *)
 
 open Minic
 
@@ -18,11 +19,26 @@ let read_file path =
   close_in ic;
   s
 
+(* Golden dependence-graph digests (see golden.ml), one per parallel
+   loop, recorded with the earlier per-byte-record profiler. A new
+   program needs an entry. *)
+let golden =
+  [
+    ("recast.c", [ "b4453d6d356b8efcdeece0c6b322107a" ]);
+    ("spans.c", [ "1f4785ab153242f029b65ffc2fe0429c" ]);
+    ("stencil.c", [ "110ade5b5c33211205dea80e78d4c22f" ]);
+    ("treework.c", [ "fb83994442a2f972898cc0cbe8b78b39" ]);
+    ("wordhist.c", [ "e4b0476f1e69371f4450ee12da45d253" ]);
+  ]
+
 let pipeline name src () =
   let p = Typecheck.parse_and_check ~file:name src in
   let lids = p.Ast.parallel_loops in
   Alcotest.(check bool) "has a parallel loop" true (lids <> []);
   let analyses = List.map (Privatize.Analyze.analyze p) lids in
+  (match List.assoc_opt name golden with
+  | Some digests -> Golden.check name digests analyses
+  | None -> Alcotest.failf "%s: no golden digest recorded" name);
   let _, out0 = Interp.Machine.run_program p in
   let res = Expand.Transform.expand_loops p analyses in
   (* sequential equivalence at several N *)

@@ -14,8 +14,27 @@ let load (w : Workloads.Workload.t) =
   let analyses = List.map (Privatize.Analyze.analyze p) lids in
   (p, lids, analyses)
 
+(* Golden dependence-graph digests (see golden.ml), one per parallel
+   loop, recorded with the earlier per-byte-record profiler. *)
+let golden =
+  [
+    ("dijkstra", [ "5f6c44c8cc980d395fca4056c430d6f1" ]);
+    ("md5", [ "75f650f1d9c6237cc5a3d41318ea8d49" ]);
+    ("mpeg2-encoder", [ "27f449817cd2d975f2d73921a6bd46c5" ]);
+    ("mpeg2-decoder", [ "5d37231277ce06bc114f50a73e1e0e57" ]);
+    ( "h263-encoder",
+      [ "95aba2e495cbcd4dd072a9a6e945b6ad"; "5f438d635c11aab3e6ca0748b2c77d8c" ]
+    );
+    ("256.bzip2", [ "5d00684ea83d65142144032385c40bee" ]);
+    ("456.hmmer", [ "9819a59dc92aa1bd1c2ab337f4f33ad7" ]);
+    ("470.lbm", [ "59627004741d3b918b52fff7f0f6814b" ]);
+  ]
+
 let static_checks (w : Workloads.Workload.t) () =
   let p, lids, analyses = load w in
+  Golden.check w.Workloads.Workload.name
+    (List.assoc w.Workloads.Workload.name golden)
+    analyses;
   Alcotest.(check int)
     "number of parallel loops"
     (List.length w.Workloads.Workload.loop_functions)
