@@ -149,6 +149,31 @@ let fold_rings t f init =
 let total_events t = fold_rings t (fun acc r -> acc + Ring.written r) 0
 let total_drops t = fold_rings t (fun acc r -> acc + Ring.drops r) 0
 
+(* A ring only drops when full, so a domain that dropped [n] events kept
+   exactly [capacity]: replaying [n] fillers ahead of the kept events
+   makes the ring drop exactly the fillers. *)
+let of_recording ~capacity attempts =
+  let t = create ~capacity ~gc:false () in
+  List.iter
+    (fun (gc_ns, doms) ->
+      let rings = begin_attempt t ~domains:(Array.length doms) in
+      Array.iteri
+        (fun d (drops, events) ->
+          for _ = 1 to drops do
+            Ring.emit rings.(d) Ring.Heartbeat ~ts:0 ~a:0 ~b:0 ~c:0 ()
+          done;
+          List.iter
+            (fun (e : Ring.event) ->
+              Ring.emit rings.(d) e.Ring.ev_kind ~ts:e.ev_ts ~vt:e.ev_vt
+                ~a:e.ev_a ~b:e.ev_b ~c:e.ev_c ())
+            events)
+        doms;
+      match t.dt_attempts with
+      | a :: _ -> a.at_gc_ns <- gc_ns
+      | [] -> ())
+    attempts;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Chrome merge                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -70,6 +70,13 @@ val total_events : t -> int
 
 val total_drops : t -> int
 
+(** Rebuild a recorder from a saved recording, for tests: per attempt,
+    the measured GC pause ns and, per domain, the ring's drop count and
+    the events it kept (oldest first). The rebuilt recorder renders and
+    analyzes exactly like the one that was saved. *)
+val of_recording :
+  capacity:int -> (int * (int * Ring.event list) array) list -> t
+
 (** Merge the rings into a Chrome trace collector: one pseudo-process
     per domain (reusing {!Telemetry.Chrome_trace}'s domain pid
     mapping), each attempt wrapped in an ["attempt-k"] span, chunk
