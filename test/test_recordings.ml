@@ -184,4 +184,189 @@ let golden_case (name, pins) =
       Alcotest.(check (list (pair string string)))
         (name ^ ": rendering digests") pins got)
 
-let () = Alcotest.run "recordings" [ ("golden", List.map golden_case goldens) ]
+(* --- the three views agree (qcheck) ------------------------------- *)
+
+(* A well-formed recording: every attempt runs the same invocations on
+   each domain, each a sequence of chunks (claim, supervised retries
+   with backoff, start, finish, maybe a GC sample) and steal probes,
+   closed by a merge. One attempt may be poisoned: each domain's stream
+   stops between chunks or inside a claim and ends in [Poison] instead
+   of [Run_end]. *)
+let gen_recording =
+  let open QCheck.Gen in
+  let chunk lid inv =
+    let* c = int_bound 20 in
+    let* retries = int_bound 2 in
+    let* slept = list_repeat retries (int_bound 500) in
+    let* gc = bool in
+    let tries =
+      List.concat
+        (List.mapi
+           (fun r ns ->
+             [
+               (Ring.Heartbeat, lid, c, r + 1);
+               (Ring.Backoff, r + 1, 0, ns);
+               (Ring.Retry, lid, c, r + 2);
+             ])
+           slept)
+    in
+    return
+      (((Ring.Chunk_claim, lid, inv, c) :: tries)
+      @ [
+          (Ring.Heartbeat, lid, c, retries + 1);
+          (Ring.Chunk_start, lid, inv, c);
+          (Ring.Chunk_finish, lid, inv, c);
+        ]
+      @ if gc then [ (Ring.Gc_sample, 1, 0, 4096) ] else [])
+  in
+  let probe =
+    let* k = oneofl [ Ring.Steal_stolen; Ring.Steal_empty; Ring.Steal_lost ] in
+    let* victim = int_bound 3 in
+    let* ns = int_bound 300 in
+    return [ [ (k, victim, (if k = Ring.Steal_stolen then 5 else -1), ns) ] ]
+  in
+  let invocation lid inv =
+    let* items =
+      list_size (int_bound 4)
+        (frequency [ (3, map (fun c -> [ c ]) (chunk lid inv)); (1, probe) ])
+    in
+    let* bytes = int_bound 4096 in
+    return
+      (List.concat items
+      @ [ [ (Ring.Merge_begin, lid, inv, 0); (Ring.Merge_end, lid, inv, bytes) ] ])
+  in
+  (* each domain's stream as a list of items: a poison cut falls
+     between items, or right after an item's claim *)
+  let domain d n att invs =
+    let* items =
+      flatten_l (List.mapi (fun inv lid -> invocation lid inv) invs)
+    in
+    return
+      ([ [ (Ring.Run_begin, d, n, att) ] ] @ List.concat items)
+  in
+  let* n = int_range 1 4 in
+  let* nattempts = int_range 1 3 in
+  let* poisoned = int_bound (2 * nattempts) in
+  let* invs = list_size (int_range 1 3) (int_bound 2) in
+  let* attempts =
+    flatten_l
+      (List.init nattempts (fun att ->
+           flatten_l
+             (List.init n (fun d ->
+                  let* items = domain d n att invs in
+                  if att <> poisoned then
+                    return
+                      (List.concat items @ [ (Ring.Run_end, d, 0, 0) ])
+                  else
+                    let* cut = int_range 1 (List.length items - 1) in
+                    let* in_claim = bool in
+                    let kept = List.filteri (fun i _ -> i < cut) items in
+                    let partial =
+                      match List.nth items cut with
+                      | ((Ring.Chunk_claim, _, _, _) as claim) :: _
+                        when in_claim ->
+                        [ claim ]
+                      | _ -> []
+                    in
+                    return
+                      (List.concat kept @ partial
+                      @ [ (Ring.Poison, d, 0, 0) ])))))
+  in
+  let* deltas = list_repeat 4096 (int_bound 1000) in
+  return (n, attempts, Array.of_list deltas)
+
+let record (_, attempts, deltas) =
+  let tr = Domtrace.create ~gc:false () in
+  let step = ref 0 in
+  let next () =
+    incr step;
+    deltas.(!step mod Array.length deltas)
+  in
+  List.iter
+    (fun doms ->
+      let rings = Domtrace.begin_attempt tr ~domains:(List.length doms) in
+      List.iteri
+        (fun d events ->
+          let ts = ref 0 and vt = ref 0 in
+          List.iter
+            (fun (k, a, b, c) ->
+              ts := !ts + next ();
+              vt := !vt + next ();
+              Ring.emit rings.(d) k ~ts:!ts ~vt:!vt ~a ~b ~c ())
+            events)
+        doms)
+    attempts;
+  tr
+
+let chrome_counts tr =
+  let j =
+    Telemetry.Json.of_string_exn
+      (Telemetry.Chrome_trace.export (Domtrace.to_chrome tr))
+  in
+  let evs =
+    match Telemetry.Json.member "traceEvents" j with
+    | Some (Telemetry.Json.List l) -> l
+    | _ -> []
+  in
+  let str k e =
+    match Telemetry.Json.member k e with
+    | Some (Telemetry.Json.Str s) -> s
+    | _ -> ""
+  in
+  let count p = List.length (List.filter p evs) in
+  let prefixed pre s =
+    String.length s >= String.length pre
+    && String.equal (String.sub s 0 (String.length pre)) pre
+  in
+  let instant name e = str "ph" e = "i" && str "name" e = name in
+  ( count (fun e -> str "ph" e = "B"),
+    count (fun e -> str "ph" e = "E"),
+    [
+      count (fun e -> str "ph" e = "B" && prefixed "chunk " (str "name" e));
+      count (instant "steal");
+      count (instant "steal-empty");
+      count (instant "steal-lost");
+    ] )
+
+let sched_counts tr =
+  let rep = SR.analyze tr in
+  let sum f = Array.fold_left (fun s d -> s + f d) 0 rep.SR.sr_domains in
+  [
+    sum (fun d -> d.SR.dr_chunks);
+    sum (fun d -> d.SR.dr_stolen);
+    sum (fun d -> d.SR.dr_steal_empty);
+    sum (fun d -> d.SR.dr_steal_lost);
+  ]
+
+let critpath_counts tr =
+  let j = Critpath.to_json (Critpath.analyze tr) in
+  List.map
+    (fun k ->
+      match Telemetry.Json.member k j with
+      | Some (Telemetry.Json.Int i) -> i
+      | _ -> -1)
+    [ "chunks"; "stolen"; "steal_empty"; "steal_lost" ]
+
+let views_agree =
+  QCheck.Test.make ~count:300
+    ~name:"chrome, sched report and critpath agree on a recording"
+    (QCheck.make
+       ~print:(fun (n, attempts, _) ->
+         Printf.sprintf "%d domain(s), %d attempt(s), %d event(s)" n
+           (List.length attempts)
+           (List.fold_left
+              (fun s doms ->
+                List.fold_left (fun s evs -> s + List.length evs) s doms)
+              0 attempts))
+       gen_recording)
+    (fun r ->
+      let tr = record r in
+      let b, e, chrome = chrome_counts tr in
+      b = e && chrome = sched_counts tr && chrome = critpath_counts tr)
+
+let () =
+  Alcotest.run "recordings"
+    [
+      ("golden", List.map golden_case goldens);
+      ("cross-view", [ QCheck_alcotest.to_alcotest views_agree ]);
+    ]
