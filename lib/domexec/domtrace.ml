@@ -465,9 +465,8 @@ module Sched_report = struct
     let rows =
       Array.mapi
         (fun d (a : acc) ->
-          let accounted =
-            a.busy_ns + a.claim_ns + a.steal_ns + a.backoff_ns + a.merge_ns
-          in
+          (* backoff is slept inside the claim gap: already in claim *)
+          let accounted = a.busy_ns + a.claim_ns + a.steal_ns + a.merge_ns in
           {
             dr_dom = d;
             dr_run_ns = a.run_ns;

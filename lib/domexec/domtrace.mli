@@ -102,11 +102,13 @@ module Sched_report : sig
         (** chunk-claim to chunk-start gaps; an injected stall or a
             crash/retry storm shows up here *)
     dr_steal_ns : int;  (** probing other domains' deques *)
-    dr_backoff_ns : int;  (** supervised acquisition backoff sleeps *)
+    dr_backoff_ns : int;
+        (** supervised acquisition backoff sleeps: the sleeping share
+            of [dr_claim_ns], which already contains it *)
     dr_merge_ns : int;  (** merge replay at loop exit *)
     dr_idle_ns : int;
-        (** the rest: replicated loops, straight-line code, barrier
-            waits *)
+        (** the rest of [dr_run_ns] after busy, claim, steal and merge:
+            replicated loops, straight-line code, barrier waits *)
     dr_chunks : int;  (** chunks executed to completion *)
     dr_stolen : int;
     dr_steal_empty : int;

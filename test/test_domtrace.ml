@@ -331,6 +331,44 @@ let straggler () =
     | Some v -> rep.SR.sr_domains.(v).SR.dr_poisoned
     | None -> false)
 
+(* --- time accounting under supervised retries ---------------------- *)
+
+(* Backoff is slept between a chunk's claim and its start, so it is
+   part of the claim gap. A crash/retry run must still account every
+   domain's run time exactly once: busy + claim + steal + merge + idle
+   = run wherever idle is not clamped at zero, and the backoff share
+   never exceeds the claim time it sits in. *)
+let crash_accounting () =
+  let b = Lazy.force md5 in
+  let plan = b.Harness.Bench_run.expanded.Expand.Transform.plan in
+  let tr = Domtrace.create () in
+  let sup =
+    Domexec.Supervisor.run ~domains:2 ~force:true
+      ~fault:(Faultinject.Fault.make ~seed:11 (Faultinject.Fault.Domain_crash 2))
+      ~trace:tr
+      b.Harness.Bench_run.expanded.Expand.Transform.transformed plan
+      b.Harness.Bench_run.lids
+  in
+  Alcotest.(check bool) "crash retried" true
+    (sup.Domexec.Supervisor.sup_retries > 0);
+  let rep = SR.analyze tr in
+  Alcotest.(check bool) "backoff recorded" true
+    (Array.exists (fun d -> d.SR.dr_backoff_ns > 0) rep.SR.sr_domains);
+  Array.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d: backoff within claim" d.SR.dr_dom)
+        true
+        (d.SR.dr_backoff_ns <= d.SR.dr_claim_ns);
+      if d.SR.dr_idle_ns > 0 then
+        Alcotest.(check int)
+          (Printf.sprintf "domain %d: busy+claim+steal+merge+idle = run"
+             d.SR.dr_dom)
+          d.SR.dr_run_ns
+          (d.SR.dr_busy_ns + d.SR.dr_claim_ns + d.SR.dr_steal_ns
+         + d.SR.dr_merge_ns + d.SR.dr_idle_ns))
+    rep.SR.sr_domains
+
 let () =
   Alcotest.run "domtrace"
     [
@@ -359,4 +397,9 @@ let () =
       ( "straggler",
         [ Alcotest.test_case "domain-stall victim flagged" `Slow straggler ]
       );
+      ( "accounting",
+        [
+          Alcotest.test_case "crash/retry run accounts run time once" `Slow
+            crash_accounting;
+        ] );
     ]

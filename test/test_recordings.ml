@@ -139,8 +139,8 @@ let goldens =
     ( "md5-2-crash",
       [
         ("chrome", "f66679ebd062c6edc9288b0ec6c2d911");
-        ("sched-json", "8b95720573122d2f18ac658609e354bf");
-        ("sched-table", "c73b0845821a4c577b99cc9a2539dd3e");
+        ("sched-json", "c5e72816dbbd98d2be1a600ac4783f7d");
+        ("sched-table", "d17dacb7e253b09cf1877977cf369ad9");
         ("critpath-json", "b304d5de6a691565d2edb8b3c0786ccb");
         ("critpath-whatif-json", "c2bb5bf0507c44a95322a41c03011724");
         ("critpath-table", "53504992478df4318b2cbc6f674e1a6b");
