@@ -151,7 +151,9 @@ let trace_arg =
         ~doc:
           "Write a Chrome trace_event JSON file of the run (load into \
            Perfetto or chrome://tracing). Deterministic: the same --seed \
-           produces a byte-identical trace.")
+           produces a byte-identical trace. With --exec domains it also \
+           carries one pseudo-process per domain: the events of \
+           --domain-trace, on the same logical ticks.")
 
 let metrics_arg =
   Arg.(
@@ -341,6 +343,9 @@ let attribution_json (r : Report.Tables.metrics_row) : Telemetry.Json.t =
       ("runtime_cycles", Telemetry.Json.Int cb.Report.Tables.cb_runtime);
     ]
 
+(* The --trace collector, for the domain recorder to render into. *)
+let trace_collector : Telemetry.Chrome_trace.t option ref = ref None
+
 (** Install the aggregator (+ trace collector) and register the
     end-of-process report/trace dump. [at_exit] so the error paths
     ([exit 1]/[exit 2]) still write the trace and metrics collected so
@@ -349,6 +354,7 @@ let setup_telemetry ~trace ~metrics ~metrics_format : unit =
   if trace <> None || metrics then begin
     let agg = Telemetry.Counters.create () in
     let chrome = Telemetry.Chrome_trace.create () in
+    if trace <> None then trace_collector := Some chrome;
     let sinks =
       Telemetry.Counters.sink agg
       ::
@@ -576,13 +582,17 @@ let domain_fault_of ~seed fault_spec =
     end
     else None
 
-(* Emit the --domain-trace / --sched-report artifacts from the ring
-   recorder once the supervised run is over — including abort paths,
-   where the failed attempts are the interesting part of the trace. *)
+(* Emit the --domain-trace / --sched-report artifacts and --trace's
+   domain pseudo-processes from the ring recorder once the supervised
+   run is over — including abort paths, where the failed attempts are
+   the interesting part of the trace. *)
 let emit_domtrace ~file ~domain_trace ~sched_report ~sched_format dtrace =
   match dtrace with
   | None -> ()
   | Some tr ->
+    Option.iter
+      (fun into -> ignore (Domexec.Domtrace.to_chrome ~into tr))
+      !trace_collector;
     (match domain_trace with
     | Some path ->
       Domexec.Domtrace.write_chrome tr path;
@@ -784,12 +794,13 @@ let run input workload dump_deps report check threads no_opt unselective
     whatif critpath_format =
   setup_telemetry ~trace ~metrics ~metrics_format;
   (* The ring recorder behind --domain-trace / --sched-report /
-     --critical-path; absent (zero-cost in the executor) unless one of
-     them asked for it. *)
+     --critical-path and --trace's domain pseudo-processes; absent
+     (zero-cost in the executor) unless one of them asked for it. *)
   let dtrace =
     if
       exec_mode = `Domains
-      && (domain_trace <> None || sched_report || critical_path <> None)
+      && (domain_trace <> None || sched_report || critical_path <> None
+         || trace <> None)
     then Some (Domexec.Domtrace.create ())
     else None
   in

@@ -69,152 +69,67 @@ type profile = {
   p_top_chunks : (string * float) list;
 }
 
+(* Joins in an attempt: the most any domain took part in. *)
+let joins_of (att : block list array) =
+  Array.fold_left
+    (fun m bl -> max m (List.length (List.filter (fun b -> b.bk_join <> None) bl)))
+    0 att
+
 (* ------------------------------------------------------------------ *)
-(* Parsing: one (attempt, domain) event stream -> blocks of segments   *)
+(* Blocks: one stream's segments, split at its merge barriers          *)
 (* ------------------------------------------------------------------ *)
 
 (* Merge segments advance no interpreter cycles (the replay writes
-   memory directly), so their virtual weight is the replayed byte
+   memory directly), so their virtual weight adds the replayed byte
    count scaled to word stores. *)
 let merge_vt_of_bytes bytes = max 0 bytes / 8
 
-type parse_stats = {
-  mutable ps_chunks : int;
-  mutable ps_stolen : int;
-  mutable ps_steal_empty : int;
-  mutable ps_steal_lost : int;
-  mutable ps_merge_bytes : int;
-}
+let chunk_label (s : Segments.seg) =
+  let base = Printf.sprintf "L%d#%d" s.s_lid s.s_chunk in
+  if s.s_inv > 0 then Printf.sprintf "%s@%d" base s.s_inv else base
 
-let parse_stream (stats : parse_stats) (events : Ring.event list) :
-    block list * string list =
-  let blocks = ref [] in
-  let segs = ref [] in
-  let sched = ref [] in
-  let carves = ref [] in
-  let carved = ref 0 in
-  let mode = ref cls_interp in
-  let mode_label = ref "interp" in
-  let prev_ts = ref None in
-  let prev_vt = ref 0 in
-  let push_block join =
-    blocks := { bk_segs = List.rev !segs; bk_join = join } :: !blocks;
-    segs := []
+(* Each segment becomes its carves, then what is left of it (dropped
+   when it weighs nothing under either clock). The barrier wait is
+   dropped too — the replay re-derives it as slack — and ends a block
+   at the merge's join key. [merge_bytes] counts the bytes of the merge
+   segments kept. *)
+let blocks_of ~merge_bytes (st : Segments.stream) : block list =
+  let seg cls label ns vt =
+    { sg_cls = cls; sg_label = label; sg_ns = float_of_int ns; sg_gc_ns = 0.0; sg_vt = vt }
   in
-  (* Close the gap since the previous event as a segment of the
-     current mode, minus any steal/backoff time carved out of it.
-     [cls < 0] discards the remainder (the pre-barrier wait, which
-     the replay re-derives as slack). *)
-  let close (e : Ring.event) ~cls ~label =
-    (match !prev_ts with
-    | None -> ()
-    | Some t0 ->
-      let gap = max 0 (e.Ring.ev_ts - t0) in
-      let self = max 0 (gap - !carved) in
-      let dvt = max 0 (e.ev_vt - !prev_vt) in
-      List.iter
-        (fun (c, ns) ->
-          if ns > 0 then
-            segs :=
-              {
-                sg_cls = c;
-                sg_label = cls_name c;
-                sg_ns = float_of_int ns;
-                sg_gc_ns = 0.0;
-                sg_vt = 0;
-              }
-              :: !segs)
-        (List.rev !carves);
-      if cls >= 0 && (self > 0 || dvt > 0) then
-        segs :=
-          {
-            sg_cls = cls;
-            sg_label = label;
-            sg_ns = float_of_int self;
-            sg_gc_ns = 0.0;
-            sg_vt = dvt;
-          }
-          :: !segs);
-    carves := [];
-    carved := 0;
-    prev_ts := Some e.ev_ts;
-    prev_vt := e.ev_vt
+  let blocks, segs =
+    List.fold_left
+      (fun (blocks, segs) (s : Segments.seg) ->
+        let carved, segs =
+          List.fold_left
+            (fun (carved, segs) c ->
+              let cls, ns =
+                match c with
+                | Segments.Steal ns -> (cls_steal, ns)
+                | Segments.Backoff ns -> (cls_backoff, ns)
+              in
+              (carved + ns, seg cls (cls_name cls) ns 0 :: segs))
+            (0, segs) s.s_carves
+        in
+        let self = max 0 (s.s_ns - carved) in
+        let seg cls label vt =
+          if self > 0 || s.s_vt > 0 then (blocks, seg cls label self vt :: segs)
+          else (blocks, segs)
+        in
+        match s.s_cls with
+        | Segments.Barrier ->
+          ({ bk_segs = List.rev segs; bk_join = Some (s.s_lid, s.s_inv) } :: blocks, [])
+        | Interp -> seg cls_interp "interp" s.s_vt
+        | Claim -> seg cls_claim "claim" s.s_vt
+        | Exec -> seg cls_exec (chunk_label s) s.s_vt
+        | Merge ->
+          if self > 0 || s.s_vt > 0 then merge_bytes := !merge_bytes + s.s_bytes;
+          seg cls_merge
+            (Printf.sprintf "merge L%d" s.s_lid)
+            (s.s_vt + merge_vt_of_bytes s.s_bytes))
+      ([], []) st.st_segs
   in
-  let carve (e : Ring.event) c =
-    let avail =
-      match !prev_ts with
-      | None -> 0
-      | Some t0 -> max 0 (e.Ring.ev_ts - t0 - !carved)
-    in
-    let ns = min (max 0 e.ev_c) avail in
-    carves := (c, ns) :: !carves;
-    carved := !carved + ns
-  in
-  let chunk_label (e : Ring.event) =
-    let base = Printf.sprintf "L%d#%d" e.ev_a e.ev_c in
-    if e.ev_b > 0 then Printf.sprintf "%s@%d" base e.ev_b else base
-  in
-  List.iter
-    (fun (e : Ring.event) ->
-      match e.Ring.ev_kind with
-      | Ring.Run_begin ->
-        (* fresh attempt stream for this domain: drop any pre-spawn gap *)
-        carves := [];
-        carved := 0;
-        prev_ts := Some e.ev_ts;
-        prev_vt := e.ev_vt;
-        mode := cls_interp;
-        mode_label := "interp"
-      | Ring.Run_end | Ring.Poison ->
-        close e ~cls:!mode ~label:!mode_label;
-        mode := cls_interp;
-        mode_label := "interp"
-      | Ring.Chunk_claim ->
-        close e ~cls:!mode ~label:!mode_label;
-        mode := cls_claim;
-        mode_label := "claim"
-      | Ring.Chunk_start ->
-        close e ~cls:!mode ~label:!mode_label;
-        mode := cls_exec;
-        mode_label := chunk_label e;
-        sched := !mode_label :: !sched
-      | Ring.Chunk_finish ->
-        close e ~cls:!mode ~label:!mode_label;
-        stats.ps_chunks <- stats.ps_chunks + 1;
-        mode := cls_interp;
-        mode_label := "interp"
-      | Ring.Merge_begin ->
-        (* the wait before the merge barrier: discarded, re-derived *)
-        close e ~cls:(-1) ~label:"barrier";
-        push_block (Some (e.ev_a, e.ev_b));
-        mode := cls_merge;
-        mode_label := Printf.sprintf "merge L%d" e.ev_a
-      | Ring.Merge_end ->
-        close e ~cls:!mode ~label:!mode_label;
-        (* override the merge segment's virtual weight with the
-           deterministic byte count the event carries *)
-        (match !segs with
-        | s :: rest when s.sg_cls = cls_merge ->
-          stats.ps_merge_bytes <- stats.ps_merge_bytes + max 0 e.ev_c;
-          segs :=
-            { s with sg_vt = s.sg_vt + merge_vt_of_bytes e.ev_c } :: rest
-        | _ -> ());
-        mode := cls_interp;
-        mode_label := "interp"
-      | Ring.Steal_stolen ->
-        stats.ps_stolen <- stats.ps_stolen + 1;
-        carve e cls_steal
-      | Ring.Steal_empty ->
-        stats.ps_steal_empty <- stats.ps_steal_empty + 1;
-        carve e cls_steal
-      | Ring.Steal_lost ->
-        stats.ps_steal_lost <- stats.ps_steal_lost + 1;
-        carve e cls_steal
-      | Ring.Backoff -> carve e cls_backoff
-      | Ring.Retry | Ring.Heartbeat | Ring.Gc_sample -> ())
-    events;
-  push_block None;
-  (List.rev !blocks, List.rev !sched)
+  List.rev ({ bk_segs = List.rev segs; bk_join = None } :: blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -228,111 +143,71 @@ type sim = {
 }
 
 (* [dur seg] returns the (self, gc) weights the replay advances by;
-   self books under the segment's class, gc under [cls_gc]. *)
-let simulate (chains : block list array list) ~doms
-    ~(dur : seg -> float * float) : sim =
+   self books under the segment's class, gc under [cls_gc]. Each
+   attempt replays as phases: every domain whose next block ends at a
+   join runs it, then all wait for the slowest — the leader, whose
+   contribution is on the path — and a final phase runs what is left
+   (the attempt-end join). *)
+let simulate (chains : block list array list) ~(dur : seg -> float * float) : sim =
   let path = Array.make ncls 0.0 in
   let tot = Array.make ncls 0.0 in
   let barrier = ref 0.0 in
   let t_base = ref 0.0 in
-  let run_block (b : block) =
-    let contrib = Array.make ncls 0.0 in
-    let d =
+  let phase t (runs : block list option array) =
+    let run d blocks =
       List.fold_left
-        (fun acc s ->
-          let self, gc = dur s in
-          contrib.(s.sg_cls) <- contrib.(s.sg_cls) +. self;
-          contrib.(cls_gc) <- contrib.(cls_gc) +. gc;
-          acc +. self +. gc)
-        0.0 b.bk_segs
+        (fun acc b ->
+          let c = Array.make ncls 0.0 in
+          let dns =
+            List.fold_left
+              (fun dns s ->
+                let self, gc = dur s in
+                c.(s.sg_cls) <- c.(s.sg_cls) +. self;
+                c.(cls_gc) <- c.(cls_gc) +. gc;
+                dns +. self +. gc)
+              0.0 b.bk_segs
+          in
+          Array.iteri (fun i v -> tot.(i) <- tot.(i) +. v) c;
+          t.(d) <- t.(d) +. dns;
+          Array.map2 ( +. ) acc c)
+        (Array.make ncls 0.0) blocks
     in
-    Array.iteri (fun i v -> tot.(i) <- tot.(i) +. v) contrib;
-    (d, contrib)
+    let contribs = Array.mapi (fun d -> Option.map (run d)) runs in
+    let leader = ref (-1) in
+    Array.iteri
+      (fun d c ->
+        if c <> None && (!leader < 0 || t.(d) > t.(!leader)) then leader := d)
+      contribs;
+    if !leader >= 0 then begin
+      let tmax = t.(!leader) in
+      Option.iter
+        (Array.iteri (fun i v -> path.(i) <- path.(i) +. v))
+        contribs.(!leader);
+      Array.iteri
+        (fun d c ->
+          if c <> None then begin
+            barrier := !barrier +. (tmax -. t.(d));
+            t.(d) <- tmax
+          end)
+        contribs;
+      t_base := tmax
+    end
   in
   List.iter
     (fun (att : block list array) ->
-      let nd = Array.length att in
-      let t = Array.make (max nd 1) !t_base in
-      let cursors = Array.map (fun bl -> ref bl) att in
-      let njoins =
-        Array.fold_left
-          (fun m bl ->
-            max m
-              (List.length (List.filter (fun b -> b.bk_join <> None) bl)))
-          0 att
-      in
-      for _j = 1 to njoins do
-        (* every participating domain advances through its next
-           join-terminated block, then all wait for the slowest *)
-        let contribs = Array.make (max nd 1) None in
-        Array.iteri
-          (fun d cur ->
-            match !cur with
-            | b :: rest when b.bk_join <> None ->
-              let dns, contrib = run_block b in
-              t.(d) <- t.(d) +. dns;
-              contribs.(d) <- Some contrib;
-              cur := rest
-            | _ -> ())
-          cursors;
-        let tmax = ref !t_base and leader = ref (-1) in
-        Array.iteri
-          (fun d c ->
-            if c <> None && (!leader < 0 || t.(d) > !tmax) then begin
-              tmax := t.(d);
-              leader := d
-            end)
-          contribs;
-        if !leader >= 0 then begin
-          (match contribs.(!leader) with
-          | Some contrib ->
-            Array.iteri (fun i v -> path.(i) <- path.(i) +. v) contrib
-          | None -> ());
-          Array.iteri
-            (fun d c ->
-              if c <> None then begin
-                barrier := !barrier +. (!tmax -. t.(d));
-                t.(d) <- !tmax
-              end)
-            contribs
-        end
+      let t = Array.make (Array.length att) !t_base in
+      let cursors = Array.copy att in
+      for _ = 1 to joins_of att do
+        phase t
+          (Array.mapi
+             (fun d -> function
+               | b :: rest when b.bk_join <> None ->
+                 cursors.(d) <- rest;
+                 Some [ b ]
+               | _ -> None)
+             cursors)
       done;
-      (* tail blocks (after the last join, or the whole stream when
-         the attempt never merged), then the attempt-end join *)
-      let contribs = Array.make (max nd 1) None in
-      Array.iteri
-        (fun d cur ->
-          let contrib = Array.make ncls 0.0 in
-          let any = ref (nd > 0) in
-          List.iter
-            (fun b ->
-              let dns, c = run_block b in
-              t.(d) <- t.(d) +. dns;
-              Array.iteri (fun i v -> contrib.(i) <- contrib.(i) +. v) c;
-              any := true)
-            !cur;
-          cur := [];
-          if !any then contribs.(d) <- Some contrib)
-        cursors;
-      let tmax = ref !t_base and leader = ref (-1) in
-      Array.iteri
-        (fun d c ->
-          if c <> None && (!leader < 0 || t.(d) > !tmax) then begin
-            tmax := t.(d);
-            leader := d
-          end)
-        contribs;
-      if !leader >= 0 then begin
-        (match contribs.(!leader) with
-        | Some contrib ->
-          Array.iteri (fun i v -> path.(i) <- path.(i) +. v) contrib
-        | None -> ());
-        Array.iteri
-          (fun d c -> if c <> None then barrier := !barrier +. (!tmax -. t.(d)))
-          contribs;
-        t_base := !tmax
-      end;
-      ignore doms)
+      phase t (Array.map Option.some cursors))
     chains;
   tot.(cls_barrier) <- !barrier;
   {
@@ -350,113 +225,66 @@ let dur_vt (s : seg) = (float_of_int s.sg_vt, 0.0)
 (* ------------------------------------------------------------------ *)
 
 let analyze (t : Domtrace.t) : profile =
-  let attempt_events = Domtrace.attempt_events t in
-  let doms =
-    List.fold_left (fun m evs -> max m (Array.length evs)) 0 attempt_events
-  in
-  let stats =
-    {
-      ps_chunks = 0;
-      ps_stolen = 0;
-      ps_steal_empty = 0;
-      ps_steal_lost = 0;
-      ps_merge_bytes = 0;
-    }
-  in
-  let schedule = Array.make (max doms 1) [] in
-  let chains =
-    List.map
-      (fun (evs : Ring.event list array) ->
-        Array.mapi
-          (fun d events ->
-            let blocks, sched = parse_stream stats events in
-            schedule.(d) <- schedule.(d) @ sched;
-            blocks)
-          evs)
-      attempt_events
-  in
-  let joins =
-    List.fold_left
-      (fun acc att ->
-        acc
-        + Array.fold_left
-            (fun m bl ->
-              max m
-                (List.length (List.filter (fun b -> b.bk_join <> None) bl)))
-            0 att)
-      0 chains
+  let streams = Domtrace.segments t in
+  let doms = List.fold_left (fun m s -> max m (Array.length s)) 0 streams in
+  let merge_bytes = ref 0 in
+  let chains = List.map (Array.map (blocks_of ~merge_bytes)) streams in
+  let sum f =
+    List.fold_left (Array.fold_left (fun n (st : Segments.stream) -> n + f st)) 0 streams
   in
   (* Carve the measured GC pause time out of the classes it actually
      interrupts (chunk execution, interpreter time, merge replay),
      per domain, in proportion to each segment's duration. The
      per-domain pause estimate comes from the sched analyzer's
      allocation-proportional attribution. *)
-  let rep = Domtrace.Sched_report.analyze t in
-  let gc_of_dom d =
-    let rows = rep.Domtrace.Sched_report.sr_domains in
-    if d < Array.length rows then
-      float_of_int rows.(d).Domtrace.Sched_report.dr_gc_ns
-    else 0.0
-  in
+  let rows = (Domtrace.Sched_report.analyze t).Domtrace.Sched_report.sr_domains in
   for d = 0 to doms - 1 do
-    let carveable s =
-      s.sg_cls = cls_exec || s.sg_cls = cls_interp || s.sg_cls = cls_merge
-    in
-    let total =
-      List.fold_left
-        (fun acc att ->
-          if d < Array.length att then
-            List.fold_left
-              (fun acc b ->
-                List.fold_left
-                  (fun acc s -> if carveable s then acc +. s.sg_ns else acc)
-                  acc b.bk_segs)
-              acc att.(d)
-          else acc)
-        0.0 chains
-    in
-    let gc = gc_of_dom d in
-    if total > 0.0 && gc > 0.0 then begin
-      let f = min 1.0 (gc /. total) in
-      List.iter
+    let segs =
+      List.concat_map
         (fun att ->
-          if d < Array.length att then
-            List.iter
+          if d >= Array.length att then []
+          else
+            List.concat_map
               (fun b ->
-                List.iter
+                List.filter
                   (fun s ->
-                    if carveable s then begin
-                      s.sg_gc_ns <- s.sg_ns *. f;
-                      s.sg_ns <- s.sg_ns *. (1.0 -. f)
-                    end)
+                    s.sg_cls = cls_exec || s.sg_cls = cls_interp
+                    || s.sg_cls = cls_merge)
                   b.bk_segs)
               att.(d))
         chains
+    in
+    let total = List.fold_left (fun acc s -> acc +. s.sg_ns) 0.0 segs in
+    let gc = float_of_int rows.(d).Domtrace.Sched_report.dr_gc_ns in
+    if total > 0.0 && gc > 0.0 then begin
+      let f = min 1.0 (gc /. total) in
+      List.iter
+        (fun s ->
+          s.sg_gc_ns <- s.sg_ns *. f;
+          s.sg_ns <- s.sg_ns *. (1.0 -. f))
+        segs
     end
   done;
-  let measured = simulate chains ~doms ~dur:dur_measured in
-  let vt = simulate chains ~doms ~dur:dur_vt in
+  let measured = simulate chains ~dur:dur_measured in
+  let vt = simulate chains ~dur:dur_vt in
+  let execs =
+    List.concat_map
+      (fun att ->
+        List.concat_map
+          (fun bl ->
+            List.concat_map
+              (fun b -> List.filter (fun s -> s.sg_cls = cls_exec) b.bk_segs)
+              bl)
+          (Array.to_list att))
+      chains
+  in
   let top_chunks =
     let tbl = Hashtbl.create 64 in
     List.iter
-      (fun att ->
-        Array.iter
-          (fun bl ->
-            List.iter
-              (fun b ->
-                List.iter
-                  (fun s ->
-                    if s.sg_cls = cls_exec then
-                      let prev =
-                        Option.value ~default:0.0
-                          (Hashtbl.find_opt tbl s.sg_label)
-                      in
-                      Hashtbl.replace tbl s.sg_label
-                        (prev +. s.sg_ns +. s.sg_gc_ns))
-                  b.bk_segs)
-              bl)
-          att)
-      chains;
+      (fun s ->
+        let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl s.sg_label) in
+        Hashtbl.replace tbl s.sg_label (prev +. s.sg_ns +. s.sg_gc_ns))
+      execs;
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (la, a) (lb, b) ->
            match compare b a with 0 -> compare la lb | c -> c)
@@ -464,17 +292,27 @@ let analyze (t : Domtrace.t) : profile =
   in
   {
     p_domains = doms;
-    p_attempts = List.length attempt_events;
+    p_attempts = List.length streams;
     p_chains = chains;
-    p_schedule = schedule;
-    p_joins = joins;
-    p_chunks = stats.ps_chunks;
-    p_stolen = stats.ps_stolen;
-    p_steal_empty = stats.ps_steal_empty;
-    p_steal_lost = stats.ps_steal_lost;
-    p_events = Domtrace.total_events t;
-    p_drops = Domtrace.total_drops t;
-    p_merge_bytes = stats.ps_merge_bytes;
+    p_schedule =
+      Array.init doms (fun d ->
+          List.concat_map
+            (fun sts ->
+              if d >= Array.length sts then []
+              else
+                List.filter_map
+                  (fun (s : Segments.seg) ->
+                    if s.s_cls = Exec then Some (chunk_label s) else None)
+                  sts.(d).Segments.st_segs)
+            streams);
+    p_joins = List.fold_left (fun n att -> n + joins_of att) 0 chains;
+    p_chunks = sum (fun st -> st.st_chunks);
+    p_stolen = sum (fun st -> st.st_stolen);
+    p_steal_empty = sum (fun st -> st.st_steal_empty);
+    p_steal_lost = sum (fun st -> st.st_steal_lost);
+    p_events = sum (fun st -> st.st_written);
+    p_drops = sum (fun st -> st.st_drops);
+    p_merge_bytes = !merge_bytes;
     p_wall_ns = measured.sm_wall;
     p_barrier_ns = measured.sm_barrier;
     p_class_path_ns = measured.sm_class_path;
@@ -519,7 +357,7 @@ type whatif_row = { wf_target : string; wf_speedups : (int * float) list }
 let whatif ?(ks = [ 10; 25; 50; 100 ]) (p : profile) : whatif_row list =
   let base = p.p_wall_ns in
   let speedup_with dur =
-    let s = simulate p.p_chains ~doms:p.p_domains ~dur in
+    let s = simulate p.p_chains ~dur in
     if s.sm_wall <= 0.0 then 1.0 else base /. s.sm_wall
   in
   let class_target c k =

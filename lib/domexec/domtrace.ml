@@ -1,12 +1,12 @@
 (** See the interface. The recorder is a list of attempts, each a
-    per-domain ring array; rings are drained exactly once (events are
-    cached on the attempt) so the Chrome merge and the analyzer can
-    both run over the same recording. *)
+    per-domain ring array; each ring is read once, through the segment
+    pass, and the streams are cached on the attempt so the Chrome
+    merge, the analyzer and the critical-path profiler all fold over
+    the same recording. *)
 
 type attempt = {
   at_rings : Ring.t array;
-  mutable at_events : Ring.event list array option;
-      (** drained lazily, cached — [Ring.drain] consumes *)
+  mutable at_streams : Segments.stream array option;  (** cached *)
   mutable at_gc_ns : int;
       (** total GC/runtime pause time measured over the attempt, summed
           across every runtime domain (see {!Gcstat}) *)
@@ -94,14 +94,11 @@ let create ?(capacity = Ring.default_capacity) ?(gc = true) () =
   { dt_capacity = capacity; dt_gc = gc; dt_attempts = []; dt_gc_base = 0 }
 
 let gc_sampling t = t.dt_gc
-let capacity t = t.dt_capacity
 
 let begin_attempt t ~domains =
-  let rings =
-    Array.init domains (fun d -> Ring.create ~capacity:t.dt_capacity ~dom:d ())
-  in
+  let rings = Array.init domains (fun _ -> Ring.create ~capacity:t.dt_capacity ()) in
   t.dt_attempts <-
-    { at_rings = rings; at_events = None; at_gc_ns = 0 } :: t.dt_attempts;
+    { at_rings = rings; at_streams = None; at_gc_ns = 0 } :: t.dt_attempts;
   if t.dt_gc && Gcstat.ensure () then begin
     (* flush pauses that predate the attempt into the running total *)
     Gcstat.poll ();
@@ -120,171 +117,108 @@ let end_attempt t =
       t.dt_gc_base <- now
     end
 
-let attempts_rev t = t.dt_attempts
-let attempts t = List.rev_map (fun a -> a.at_rings) t.dt_attempts
 let attempt_count t = List.length t.dt_attempts
-
-let events_of (a : attempt) : Ring.event list array =
-  match a.at_events with
-  | Some evs -> evs
-  | None ->
-    let evs = Array.map Ring.drain a.at_rings in
-    a.at_events <- Some evs;
-    evs
-
-let attempt_events t = List.rev_map events_of t.dt_attempts
-let attempt_gc_ns t = List.rev_map (fun a -> a.at_gc_ns) t.dt_attempts
-let total_gc_ns t = List.fold_left (fun s a -> s + a.at_gc_ns) 0 t.dt_attempts
-
-let attempt_drops t =
-  List.rev_map
-    (fun a -> Array.map Ring.drops a.at_rings)
-    t.dt_attempts
 
 let fold_rings t f init =
   List.fold_left
     (fun acc a -> Array.fold_left f acc a.at_rings)
-    init (attempts_rev t)
+    init t.dt_attempts
 
 let total_events t = fold_rings t (fun acc r -> acc + Ring.written r) 0
 let total_drops t = fold_rings t (fun acc r -> acc + Ring.drops r) 0
 
 (* A ring only drops when full, so a domain that dropped [n] events kept
-   exactly [capacity]: replaying [n] fillers ahead of the kept events
-   makes the ring drop exactly the fillers. *)
+   exactly [capacity]: replaying [n] copies of its oldest kept event
+   first makes the ring drop exactly the copies. *)
 let of_recording ~capacity attempts =
   let t = create ~capacity ~gc:false () in
   List.iter
     (fun (gc_ns, doms) ->
       let rings = begin_attempt t ~domains:(Array.length doms) in
+      let emit d (e : Ring.event) =
+        Ring.emit rings.(d) e.Ring.ev_kind ~ts:e.ev_ts ~vt:e.ev_vt ~a:e.ev_a
+          ~b:e.ev_b ~c:e.ev_c ()
+      in
       Array.iteri
         (fun d (drops, events) ->
-          for _ = 1 to drops do
-            Ring.emit rings.(d) Ring.Heartbeat ~ts:0 ~a:0 ~b:0 ~c:0 ()
-          done;
-          List.iter
-            (fun (e : Ring.event) ->
-              Ring.emit rings.(d) e.Ring.ev_kind ~ts:e.ev_ts ~vt:e.ev_vt
-                ~a:e.ev_a ~b:e.ev_b ~c:e.ev_c ())
-            events)
+          List.iter (emit d) (List.init drops (fun _ -> List.hd events));
+          List.iter (emit d) events)
         doms;
-      match t.dt_attempts with
-      | a :: _ -> a.at_gc_ns <- gc_ns
-      | [] -> ())
+      (List.hd t.dt_attempts).at_gc_ns <- gc_ns)
     attempts;
   t
+
+let segments t =
+  List.rev_map
+    (fun a ->
+      match a.at_streams with
+      | Some s -> s
+      | None ->
+        let s = Array.map Segments.of_ring a.at_rings in
+        a.at_streams <- Some s;
+        s)
+    t.dt_attempts
+
+let domain_count streams =
+  List.fold_left (fun m s -> max m (Array.length s)) 0 streams
 
 (* ------------------------------------------------------------------ *)
 (* Chrome merge                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let span_of_event lid ~(k : Ring.kind) ~chunk =
-  match k with
-  | Ring.Chunk_claim -> Printf.sprintf "claim L%d#%d" lid chunk
-  | Ring.Chunk_start -> Printf.sprintf "chunk L%d#%d" lid chunk
-  | Ring.Merge_begin -> Printf.sprintf "merge L%d" lid
-  | _ -> assert false
-
-(* Each domain replays onto its own logical tick line: one tick per
-   ring event, in ring order, persisting across attempts, so the
-   exported timestamps depend only on the event sequence. Spans are
-   kept perfectly nested by this replayer itself — the generic
-   exporter never has to repair anything, so B/E counts balance. *)
-let to_chrome t : Telemetry.Chrome_trace.t =
-  let c = Telemetry.Chrome_trace.create () in
-  let sk = Telemetry.Chrome_trace.sink c in
-  let doms =
-    List.fold_left
-      (fun m a -> max m (Array.length a.at_rings))
-      0 (attempts_rev t)
-  in
-  let ticks = Array.make (max doms 1) 0 in
-  let stacks = Array.make (max doms 1) [] in
-  let emit_b d name ts =
-    stacks.(d) <- name :: stacks.(d);
-    sk.Telemetry.Sink.emit
-      (Telemetry.Event.Span_begin
-         {
-           name;
-           cat = "domexec";
-           clock = Telemetry.Event.Sim;
-           tid = Telemetry.Chrome_trace.domain_tid_base + d;
-           ts;
-         })
-  in
-  let emit_e d ts =
-    match stacks.(d) with
-    | [] -> ()
-    | name :: rest ->
-      stacks.(d) <- rest;
-      sk.Telemetry.Sink.emit
-        (Telemetry.Event.Span_end
-           {
-             name;
-             clock = Telemetry.Event.Sim;
-             tid = Telemetry.Chrome_trace.domain_tid_base + d;
-             ts;
-           })
-  in
-  let emit_i d name ts =
-    sk.Telemetry.Sink.emit
-      (Telemetry.Event.Instant
-         {
-           name;
-           cat = "sched";
-           clock = Telemetry.Event.Sim;
-           tid = Telemetry.Chrome_trace.domain_tid_base + d;
-           ts;
-         })
-  in
-  let close_if d prefix ts =
-    match stacks.(d) with
-    | name :: _
-      when String.length name >= String.length prefix
-           && String.sub name 0 (String.length prefix) = prefix ->
-      emit_e d ts
-    | _ -> ()
-  in
+(* Each domain replays onto its own logical tick line: an event's tick
+   is its index in the domain's streams, counted across attempts, so
+   the exported timestamps depend only on the event sequence. Claim,
+   chunk and merge segments become spans inside the attempt's span,
+   point events instants; a segment ends where the next begins, so B/E
+   pairs nest and balance by construction. *)
+let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
+  let emit = (Telemetry.Chrome_trace.sink into).Telemetry.Sink.emit in
+  let streams = segments t in
+  let base = Array.make (domain_count streams) 0 in
   List.iter
-    (fun a ->
-      let evs = events_of a in
-      Array.iteri
-        (fun d events ->
-          List.iter
-            (fun (e : Ring.event) ->
-              let ts = ticks.(d) in
-              ticks.(d) <- ts + 1;
-              match e.Ring.ev_kind with
-              | Ring.Run_begin ->
-                emit_b d (Printf.sprintf "attempt-%d" e.ev_c) ts
-              | Ring.Run_end ->
-                (* close everything this attempt left open, the
-                   attempt span last *)
-                while stacks.(d) <> [] do
-                  emit_e d ts
-                done
-              | Ring.Chunk_claim ->
-                close_if d "claim " ts;
-                emit_b d (span_of_event e.ev_a ~k:e.ev_kind ~chunk:e.ev_c) ts
-              | Ring.Chunk_start ->
-                close_if d "claim " ts;
-                emit_b d (span_of_event e.ev_a ~k:e.ev_kind ~chunk:e.ev_c) ts
-              | Ring.Chunk_finish -> close_if d "chunk " ts
-              | Ring.Merge_begin ->
-                emit_b d (span_of_event e.ev_a ~k:e.ev_kind ~chunk:0) ts
-              | Ring.Merge_end -> close_if d "merge " ts
-              | ( Ring.Steal_stolen | Ring.Steal_empty | Ring.Steal_lost
-                | Ring.Retry | Ring.Backoff | Ring.Heartbeat | Ring.Poison
-                | Ring.Gc_sample ) as k ->
-                emit_i d (Ring.kind_name k) ts)
-            events;
-          (* a crashed attempt can end without Run_end *)
-          while stacks.(d) <> [] do
-            emit_e d ticks.(d)
-          done)
-        evs)
-    (List.rev t.dt_attempts);
-  c
+    (Array.iteri (fun d (st : Segments.stream) ->
+         let tid = Telemetry.Chrome_trace.domain_tid_base + d in
+         let clock = Telemetry.Event.Sim in
+         let at tick f = (tick, f (base.(d) + tick)) in
+         let b name tick =
+           at tick (fun ts ->
+               Telemetry.Event.Span_begin { name; cat = "domexec"; clock; tid; ts })
+         in
+         let e name tick =
+           at tick (fun ts -> Telemetry.Event.Span_end { name; clock; tid; ts })
+         in
+         let span (s : Segments.seg) name = [ b name s.s_tick0; e name s.s_tick1 ] in
+         let attempt k =
+           match st.st_attempt with
+           | Some (a, t0, t1) ->
+             let name = Printf.sprintf "attempt-%d" a in
+             [ k name t0 t1 ]
+           | None -> []
+         in
+         List.stable_sort
+           (fun (x, _) (y, _) -> compare x y)
+           (attempt (fun name t0 _ -> b name t0)
+           @ List.concat_map
+               (fun (s : Segments.seg) ->
+                 match s.s_cls with
+                 | Claim -> span s (Printf.sprintf "claim L%d#%d" s.s_lid s.s_chunk)
+                 | Exec -> span s (Printf.sprintf "chunk L%d#%d" s.s_lid s.s_chunk)
+                 | Merge -> span s (Printf.sprintf "merge L%d" s.s_lid)
+                 | Interp | Barrier -> [])
+               st.st_segs
+           @ List.map
+               (fun (tick, k) ->
+                 at tick (fun ts ->
+                     Telemetry.Event.Instant
+                       { name = Ring.kind_name k; cat = "sched"; clock; tid; ts }))
+               st.st_points
+           @ attempt (fun name _ t1 ->
+                 e name (Option.value t1 ~default:st.st_events)))
+         |> List.iter (fun (_, ev) -> emit ev);
+         base.(d) <- base.(d) + st.st_events))
+    streams;
+  into
 
 let write_chrome t path = Telemetry.Chrome_trace.write (to_chrome t) path
 
@@ -338,166 +272,66 @@ module Sched_report = struct
     if r.dr_run_ns <= 0 then 0.0
     else float_of_int r.dr_busy_ns /. float_of_int r.dr_run_ns
 
-  (* mutable accumulator while walking one domain's event stream *)
-  type acc = {
-    mutable run_ns : int;
-    mutable busy_ns : int;
-    mutable claim_ns : int;
-    mutable steal_ns : int;
-    mutable backoff_ns : int;
-    mutable merge_ns : int;
-    mutable chunks : int;
-    mutable stolen : int;
-    mutable steal_empty : int;
-    mutable steal_lost : int;
-    mutable retries : int;
-    mutable poisoned : bool;
-    mutable gc_minor : int;
-    mutable gc_major : int;
-    mutable gc_minor_words : int;
-    mutable gc_dirty : int;
-    mutable drops : int;
-  }
-
-  let fresh_acc () =
-    {
-      run_ns = 0; busy_ns = 0; claim_ns = 0; steal_ns = 0; backoff_ns = 0;
-      merge_ns = 0; chunks = 0; stolen = 0; steal_empty = 0; steal_lost = 0;
-      retries = 0; poisoned = false; gc_minor = 0; gc_major = 0;
-      gc_minor_words = 0; gc_dirty = 0; drops = 0;
-    }
-
-  (* Walk one attempt's event stream for one domain. Open intervals at
-     stream end (a stalled claim, a run that never reached Run_end)
-     close at the domain's last event timestamp, which is what makes
-     an injected stall's claim gap measurable: the poison observation
-     that unwinds the domain is its last event. *)
-  let feed (a : acc) (events : Ring.event list) =
-    let run_open = ref None in
-    let claim_open = ref None in
-    let busy_open = ref None in
-    let merge_open = ref None in
-    let last_ts = ref 0 in
-    let close_claim ts =
-      match !claim_open with
-      | Some t0 ->
-        a.claim_ns <- a.claim_ns + max 0 (ts - t0);
-        claim_open := None
-      | None -> ()
+  (* One row per domain, summed over attempts in order. Intervals still
+     open at a stream's end (a stalled claim, a run that never reached
+     Run_end) close at the domain's last event, which is what makes an
+     injected stall's claim gap measurable: the poison observation that
+     unwinds the domain is its last event. *)
+  let row streams d =
+    let add r (st : Segments.stream) =
+      let sum cls =
+        List.fold_left
+          (fun n (s : Segments.seg) -> if s.s_cls = cls then n + s.s_ns else n)
+          0 st.st_segs
+      in
+      {
+        r with
+        dr_run_ns = r.dr_run_ns + st.st_run_ns;
+        dr_busy_ns = r.dr_busy_ns + sum Exec;
+        dr_claim_ns = r.dr_claim_ns + sum Claim;
+        dr_steal_ns = r.dr_steal_ns + st.st_steal_ns;
+        dr_backoff_ns = r.dr_backoff_ns + st.st_backoff_ns;
+        dr_merge_ns = r.dr_merge_ns + sum Merge;
+        dr_chunks = r.dr_chunks + st.st_chunks;
+        dr_stolen = r.dr_stolen + st.st_stolen;
+        dr_steal_empty = r.dr_steal_empty + st.st_steal_empty;
+        dr_steal_lost = r.dr_steal_lost + st.st_steal_lost;
+        dr_retries = r.dr_retries + st.st_retries;
+        dr_poisoned = r.dr_poisoned || st.st_poisoned;
+        dr_gc_minor = r.dr_gc_minor + st.st_gc_minor;
+        dr_gc_major = r.dr_gc_major + st.st_gc_major;
+        dr_gc_minor_words = r.dr_gc_minor_words + st.st_gc_words;
+        dr_gc_dirty_chunks = r.dr_gc_dirty_chunks + st.st_gc_dirty;
+        dr_drops = r.dr_drops + st.st_drops;
+      }
     in
-    let close_busy ts =
-      match !busy_open with
-      | Some t0 ->
-        a.busy_ns <- a.busy_ns + max 0 (ts - t0);
-        busy_open := None
-      | None -> ()
+    let r =
+      List.fold_left
+        (fun r sts -> if d < Array.length sts then add r sts.(d) else r)
+        {
+          dr_dom = d; dr_run_ns = 0; dr_busy_ns = 0; dr_claim_ns = 0;
+          dr_steal_ns = 0; dr_backoff_ns = 0; dr_merge_ns = 0; dr_idle_ns = 0;
+          dr_chunks = 0; dr_stolen = 0; dr_steal_empty = 0; dr_steal_lost = 0;
+          dr_retries = 0; dr_poisoned = false; dr_gc_minor = 0; dr_gc_major = 0;
+          dr_gc_minor_words = 0; dr_gc_dirty_chunks = 0; dr_gc_ns = 0;
+          dr_drops = 0;
+        }
+        streams
     in
-    let close_merge ts =
-      match !merge_open with
-      | Some t0 ->
-        a.merge_ns <- a.merge_ns + max 0 (ts - t0);
-        merge_open := None
-      | None -> ()
-    in
-    List.iter
-      (fun (e : Ring.event) ->
-        let ts = e.Ring.ev_ts in
-        last_ts := max !last_ts ts;
-        match e.ev_kind with
-        | Ring.Run_begin -> run_open := Some ts
-        | Ring.Run_end -> (
-          match !run_open with
-          | Some t0 ->
-            a.run_ns <- a.run_ns + max 0 (ts - t0);
-            run_open := None
-          | None -> ())
-        | Ring.Chunk_claim -> claim_open := Some ts
-        | Ring.Chunk_start ->
-          close_claim ts;
-          busy_open := Some ts
-        | Ring.Chunk_finish ->
-          close_busy ts;
-          a.chunks <- a.chunks + 1
-        | Ring.Steal_stolen ->
-          a.stolen <- a.stolen + 1;
-          a.steal_ns <- a.steal_ns + max 0 e.ev_c
-        | Ring.Steal_empty ->
-          a.steal_empty <- a.steal_empty + 1;
-          a.steal_ns <- a.steal_ns + max 0 e.ev_c
-        | Ring.Steal_lost ->
-          a.steal_lost <- a.steal_lost + 1;
-          a.steal_ns <- a.steal_ns + max 0 e.ev_c
-        | Ring.Retry -> a.retries <- a.retries + 1
-        | Ring.Backoff -> a.backoff_ns <- a.backoff_ns + max 0 e.ev_c
-        | Ring.Heartbeat -> ()
-        | Ring.Poison -> a.poisoned <- true
-        | Ring.Gc_sample ->
-          a.gc_minor <- a.gc_minor + max 0 e.ev_a;
-          a.gc_major <- a.gc_major + max 0 e.ev_b;
-          a.gc_minor_words <- a.gc_minor_words + max 0 e.ev_c;
-          if e.ev_a > 0 || e.ev_b > 0 then a.gc_dirty <- a.gc_dirty + 1
-        | Ring.Merge_begin -> merge_open := Some ts
-        | Ring.Merge_end -> close_merge ts)
-      events;
-    close_claim !last_ts;
-    close_busy !last_ts;
-    close_merge !last_ts;
-    match !run_open with
-    | Some t0 -> a.run_ns <- a.run_ns + max 0 (!last_ts - t0)
-    | None -> ()
+    (* backoff is slept inside the claim gap: already in claim *)
+    let accounted = r.dr_busy_ns + r.dr_claim_ns + r.dr_steal_ns + r.dr_merge_ns in
+    { r with dr_idle_ns = max 0 (r.dr_run_ns - accounted) }
 
   let analyze (t : t) : report =
-    let doms =
-      List.fold_left
-        (fun m a -> max m (Array.length a.at_rings))
-        0 (attempts_rev t)
-    in
-    let accs = Array.init (max doms 1) (fun _ -> fresh_acc ()) in
-    List.iter
-      (fun at ->
-        let evs = events_of at in
-        Array.iteri
-          (fun d events ->
-            feed accs.(d) events;
-            accs.(d).drops <- accs.(d).drops + Ring.drops at.at_rings.(d))
-          evs)
-      (List.rev t.dt_attempts);
-    let rows =
-      Array.mapi
-        (fun d (a : acc) ->
-          (* backoff is slept inside the claim gap: already in claim *)
-          let accounted = a.busy_ns + a.claim_ns + a.steal_ns + a.merge_ns in
-          {
-            dr_dom = d;
-            dr_run_ns = a.run_ns;
-            dr_busy_ns = a.busy_ns;
-            dr_claim_ns = a.claim_ns;
-            dr_steal_ns = a.steal_ns;
-            dr_backoff_ns = a.backoff_ns;
-            dr_merge_ns = a.merge_ns;
-            dr_idle_ns = max 0 (a.run_ns - accounted);
-            dr_chunks = a.chunks;
-            dr_stolen = a.stolen;
-            dr_steal_empty = a.steal_empty;
-            dr_steal_lost = a.steal_lost;
-            dr_retries = a.retries;
-            dr_poisoned = a.poisoned;
-            dr_gc_minor = a.gc_minor;
-            dr_gc_major = a.gc_major;
-            dr_gc_minor_words = a.gc_minor_words;
-            dr_gc_dirty_chunks = a.gc_dirty;
-            dr_gc_ns = 0;
-            dr_drops = a.drops;
-          })
-        (if doms = 0 then [||] else accs)
-    in
+    let streams = segments t in
+    let rows = Array.init (domain_count streams) (row streams) in
     (* Attribute the measured process-wide GC pause time (runtime
        events account every runtime domain, but under recycled ring
        ids — see {!Gcstat}) to logical domains in proportion to the
        minor words each one allocated; allocation volume is what
        drives the collector, and it is the one GC signal the rings
        record per logical domain. *)
-    let gc_total = total_gc_ns t in
+    let gc_total = List.fold_left (fun s a -> s + a.at_gc_ns) 0 t.dt_attempts in
     let rows =
       let words = Array.fold_left (fun s r -> s + r.dr_gc_minor_words) 0 rows in
       let runs = Array.fold_left (fun s r -> s + r.dr_run_ns) 0 rows in

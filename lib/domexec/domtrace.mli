@@ -43,27 +43,7 @@ val begin_attempt : t -> domains:int -> Ring.t array
     when [gc] is off or runtime events are unavailable. *)
 val end_attempt : t -> unit
 
-(** Attempts recorded so far, chronological; each is the per-domain
-    ring array of one {!Exec.run}. *)
-val attempts : t -> Ring.t array list
-
-(** Per-attempt, per-domain event lists, chronological. Draining is
-    cached, so this is safe to combine with {!to_chrome} and the
-    analyzers over the same recorder. *)
-val attempt_events : t -> Ring.event list array list
-
-(** Per-attempt ring-overflow drop counts, chronological, indexed by
-    domain. *)
-val attempt_drops : t -> int array list
-
-(** Measured GC/runtime pause ns per attempt (process-wide total —
-    the runtime reports pauses per recycled runtime-domain slot, which
-    cannot be mapped back to logical domains), chronological. *)
-val attempt_gc_ns : t -> int list
-
-val total_gc_ns : t -> int
 val attempt_count : t -> int
-val capacity : t -> int
 
 (** Totals over every ring of every attempt. *)
 val total_events : t -> int
@@ -77,13 +57,19 @@ val total_drops : t -> int
 val of_recording :
   capacity:int -> (int * (int * Ring.event list) array) list -> t
 
-(** Merge the rings into a Chrome trace collector: one pseudo-process
-    per domain (reusing {!Telemetry.Chrome_trace}'s domain pid
-    mapping), each attempt wrapped in an ["attempt-k"] span, chunk
-    claim/execution/merge as nested spans, steals/retries/backoff/
-    heartbeats/GC samples as instants. B/E pairs are balanced by
-    construction. *)
-val to_chrome : t -> Telemetry.Chrome_trace.t
+(** The {!Segments} pass over every ring: per attempt, chronological,
+    the streams indexed by domain. Computed once and cached, so every
+    view folds over the same streams. *)
+val segments : t -> Segments.stream array list
+
+(** Render the segments into a Chrome trace collector — [into], or a
+    fresh one: one pseudo-process per domain (reusing
+    {!Telemetry.Chrome_trace}'s domain pid mapping), each attempt
+    wrapped in an ["attempt-k"] span, chunk claim/execution/merge as
+    nested spans, steals/retries/backoff/heartbeats/poison/GC samples
+    as instants, all on the logical tick line. B/E pairs are balanced
+    by construction. *)
+val to_chrome : ?into:Telemetry.Chrome_trace.t -> t -> Telemetry.Chrome_trace.t
 
 (** [to_chrome] rendered and written to [path] (one JSON object plus
     newline, like [--trace]). *)
@@ -137,8 +123,10 @@ module Sched_report : sig
         (** load-imbalance coefficient: max/mean over per-domain
             (busy + claim) time; 1.0 = perfectly balanced *)
     sr_straggler : int option;
-        (** the dominating domain, only when both warning thresholds
-            are exceeded *)
+        (** the dominating domain, flagged only when the imbalance
+            coefficient exceeds 1.5 {e and} its busy+claim time exceeds
+            the mean by 50 ms (so microsecond-scale noise on tiny loops
+            never trips the warning) *)
     sr_gc_ns : int;
         (** measured GC/runtime pause time over all attempts
             (runtime-events begin/end spans, process-wide) *)
@@ -147,14 +135,6 @@ module Sched_report : sig
             clamped to [0, 1]; 0 when GC measurement is off *)
     sr_warnings : string list;
   }
-
-  (** A straggler is flagged when the imbalance coefficient exceeds
-      [warn_ratio] {e and} the leader's excess over the mean exceeds
-      [warn_floor_ns] (so microsecond-scale noise on tiny loops never
-      trips the warning). *)
-  val warn_ratio : float
-
-  val warn_floor_ns : int
 
   (** Busy fraction of the domain's run time (0 when unmeasured). *)
   val utilization : dom_row -> float

@@ -483,14 +483,6 @@ type dom_active = {
   mutable da_out_start : int;
   da_enter_out : int;
   da_pre : int64 array;  (** induction pre-values at loop entry *)
-  mutable da_chunk_t0 : int;  (** ns at chunk acquisition; -1 = none *)
-}
-
-(* Per-domain telemetry, buffered locally (the sink is a plain global
-   and not domain-safe) and emitted by the main domain after join. *)
-type dom_tel = {
-  mutable spans : (string * string * int * int) list;  (** name/cat/t0/t1 ns *)
-  mutable instants : (string * int) list;
 }
 
 let ceil_div a b = (a + b - 1) / b
@@ -575,7 +567,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     let steal_lost = Array.make n 0 in
     let chunks_run = Array.make n 0 in
     let merges = Array.make n 0 in
-    let tels = Array.init n (fun _ -> { spans = []; instants = [] }) in
     (* Machines must be loaded sequentially: [load] stamps fresh access
        ids into the (shared) program. *)
     let machines = Array.init n (fun _ -> Interp.Machine.load prog) in
@@ -602,7 +593,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     let body d =
       let m = machines.(d) in
       let st = m.Interp.Machine.st in
-      let tel = tels.(d) in
       (* Ring emission: a handful of int stores into this domain's
          preallocated ring, nothing when tracing is off. Each event
          carries the machine's cycle counter as its virtual timestamp,
@@ -670,7 +660,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
           | Deque.Stolen c ->
             Hashtbl.replace da.da_pending c ();
             steals.(d) <- steals.(d) + 1;
-            tel.instants <- ("steal", now_ns ()) :: tel.instants;
             remit Ring.Steal_stolen ~a:victim ~b:c ~c:(now_ns () - s0);
             true
           | Deque.Steal_empty ->
@@ -849,7 +838,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                           da_enter_out =
                             Buffer.length st.Interp.Machine.out;
                           da_pre = pre;
-                          da_chunk_t0 = -1;
                         }))
               | Interp.Machine.Iter i -> (
                 match !active with
@@ -860,11 +848,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                   let k = slot.sl_chunk in
                   if da.da_cur_hi >= 0 && i >= da.da_cur_hi then begin
                     complete_chunk da;
-                    if da.da_chunk_t0 >= 0 then
-                      tel.spans <-
-                        ("chunk", "chunk", da.da_chunk_t0, now_ns ())
-                        :: tel.spans;
-                    da.da_chunk_t0 <- -1;
                     da.da_cur_hi <- -1
                   end;
                   if i < slot.sl_trip then begin
@@ -872,7 +855,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                       let c = i / k in
                       let acquire () =
                         da.da_cur_hi <- min slot.sl_trip ((c + 1) * k);
-                        da.da_chunk_t0 <- now_ns ();
                         chunks_run.(d) <- chunks_run.(d) + 1
                       in
                       if Hashtbl.mem da.da_pending c then begin
@@ -954,7 +936,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                   | Some _ -> ());
                   (* merge: replay all write logs in iteration order,
                      fold induction deltas, splice output fragments *)
-                  let tm0 = now_ns () in
                   remit Ring.Merge_begin ~a:(fst slot.sl_key)
                     ~b:(snd slot.sl_key) ~c:0;
                   let merge_bytes = ref 0 in
@@ -986,15 +967,11 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                      weight for the merge segment *)
                   remit Ring.Merge_end ~a:(fst slot.sl_key) ~b:(snd slot.sl_key)
                     ~c:!merge_bytes;
-                  tel.spans <- ("merge", "merge", tm0, now_ns ()) :: tel.spans;
                   Interp.Machine.set_global_int st Expand.Names.tid 0;
                   active := None));
-      let tr0 = now_ns () in
-      tel.instants <- ("spawn", tr0) :: tel.instants;
       remit Ring.Run_begin ~a:d ~b:n ~c:attempt_idx;
       gc_reset ();
       let code = Interp.Machine.run m in
-      tel.spans <- ("run", "domain", tr0, now_ns ()) :: tel.spans;
       remit Ring.Run_end ~a:d ~b:0 ~c:0;
       code
     in
@@ -1047,21 +1024,9 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                (Printf.sprintf
                   "domexec: domain %d diverged from domain 0 (merge bug)" d)))
       codes;
-    (* Emit buffered scheduler telemetry: one pseudo-process per domain. *)
+    (* Scheduler events live in the trace rings only; the sink gets the
+       run's counters. *)
     if Telemetry.Sink.enabled () then begin
-      Array.iteri
-        (fun d tel ->
-          let tid = Telemetry.Chrome_trace.domain_tid_base + d in
-          List.iter
-            (fun (name, cat, a, b) ->
-              Telemetry.Span.sim_begin ~cat ~tid ~ts:a name;
-              Telemetry.Span.sim_end ~tid ~ts:b name)
-            (List.rev tel.spans);
-          List.iter
-            (fun (name, ts) ->
-              Telemetry.Span.sim_instant ~cat:"steal" ~tid ~ts name)
-            (List.rev tel.instants))
-        tels;
       Telemetry.Span.count "domexec.domains" n;
       Telemetry.Span.count "domexec.steals" (Array.fold_left ( + ) 0 steals);
       Telemetry.Span.count "domexec.steal_lost"

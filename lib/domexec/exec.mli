@@ -138,9 +138,13 @@ val available_domains : unit -> int
     event {!Ring} per domain ({!Domtrace.begin_attempt}) and emits
     scheduler events — chunk claim/start/finish, typed steal results,
     retry/backoff/heartbeat, poison observation, GC deltas at chunk
-    boundaries — into the owning domain's ring. With [trace] absent
-    every emission site is a no-op; the sequential-fallback path
-    records nothing.
+    boundaries — into the owning domain's ring. The rings are the
+    run's only record of scheduler events: an installed telemetry sink
+    gets the run's counters, never per-domain spans. A caller that
+    wants domain pseudo-processes in a Chrome trace renders the
+    recorder with {!Domtrace.to_chrome}, whose timestamps are logical
+    ticks, not host ns. With [trace] absent every emission site is a
+    no-op; the sequential-fallback path records nothing.
 
     The caller is expected to validate [dx_output]/[dx_exit] and
     [dx_machine]'s final globals against a sequential oracle

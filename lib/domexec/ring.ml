@@ -1,16 +1,7 @@
-(** See the interface for the contract. Layout: one flat int array,
-    six cells per slot (kind code, ts, vt, a, b, c). [head] is the
-    count of events ever written, [tail] the count ever consumed (or
-    dropped); both only grow, and [slot i = (i land mask) * 6].
-
-    Ordering argument for the live-reader case: the writer fills a
-    slot's cells strictly before the [Atomic.set] on [head] that
-    publishes it, and the reader loads [head] before touching cells —
-    OCaml atomics are sequentially consistent, so the publication
-    edge holds. On overflow the writer first advances [tail] by CAS
-    (claiming the victim slot) and only then overwrites it; a reader
-    mid-copy of that slot loses the same CAS and discards its torn
-    copy. The drop counter is writer-private and read after join. *)
+(** See the interface. Layout: slot [i land mask] holds the [i]-th
+    event ever written, its kind in [kinds] and five ints (ts, vt, a,
+    b, c) in [data]; [written] only grows, so the kept events are the
+    last [min written capacity]. *)
 
 type kind =
   | Run_begin
@@ -28,41 +19,6 @@ type kind =
   | Gc_sample
   | Merge_begin
   | Merge_end
-
-let kind_code = function
-  | Run_begin -> 0
-  | Run_end -> 1
-  | Chunk_claim -> 2
-  | Chunk_start -> 3
-  | Chunk_finish -> 4
-  | Steal_stolen -> 5
-  | Steal_empty -> 6
-  | Steal_lost -> 7
-  | Retry -> 8
-  | Backoff -> 9
-  | Heartbeat -> 10
-  | Poison -> 11
-  | Gc_sample -> 12
-  | Merge_begin -> 13
-  | Merge_end -> 14
-
-let kind_of_code = function
-  | 0 -> Run_begin
-  | 1 -> Run_end
-  | 2 -> Chunk_claim
-  | 3 -> Chunk_start
-  | 4 -> Chunk_finish
-  | 5 -> Steal_stolen
-  | 6 -> Steal_empty
-  | 7 -> Steal_lost
-  | 8 -> Retry
-  | 9 -> Backoff
-  | 10 -> Heartbeat
-  | 11 -> Poison
-  | 12 -> Gc_sample
-  | 13 -> Merge_begin
-  | 14 -> Merge_end
-  | c -> invalid_arg (Printf.sprintf "Ring.kind_of_code: %d" c)
 
 let kind_name = function
   | Run_begin -> "run-begin"
@@ -91,13 +47,10 @@ type event = {
 }
 
 type t = {
-  rg_dom : int;
+  kinds : kind array;
   data : int array;
-  cap : int;
   mask : int;
-  head : int Atomic.t;  (** events ever written *)
-  tail : int Atomic.t;  (** events ever consumed or dropped *)
-  mutable rg_drops : int;  (** writer-private *)
+  mutable written : int;
 }
 
 (* 16k slots = 0.79 MB per domain: two orders of magnitude above what
@@ -106,68 +59,42 @@ type t = {
    gate holds traced runs to ≤5% over untraced). *)
 let default_capacity = 16384
 
-let create ?(capacity = default_capacity) ~dom () =
-  let capacity = max 1 capacity in
+let create ?(capacity = default_capacity) () =
   let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
   let cap = pow2 1 in
   {
-    rg_dom = dom;
-    data = Array.make (cap * 6) 0;
-    cap;
+    kinds = Array.make cap Run_begin;
+    data = Array.make (cap * 5) 0;
     mask = cap - 1;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-    rg_drops = 0;
+    written = 0;
   }
 
-let dom r = r.rg_dom
-let capacity r = r.cap
-let written r = Atomic.get r.head
-let drops r = r.rg_drops
-let length r = max 0 (Atomic.get r.head - Atomic.get r.tail)
+let capacity r = r.mask + 1
+let written r = r.written
+let drops r = max 0 (r.written - capacity r)
 
 let emit r k ~ts ?(vt = 0) ~a ~b ~c () =
-  let h = Atomic.get r.head in
-  (if h - Atomic.get r.tail >= r.cap then begin
-     (* full: claim the oldest slot before overwriting it, so a live
-        reader racing us fails its CAS and discards the torn copy *)
-     let t = Atomic.get r.tail in
-     if h - t >= r.cap && Atomic.compare_and_set r.tail t (t + 1) then
-       r.rg_drops <- r.rg_drops + 1
-   end);
-  let i = (h land r.mask) * 6 in
-  r.data.(i) <- kind_code k;
-  r.data.(i + 1) <- ts;
-  r.data.(i + 2) <- vt;
-  r.data.(i + 3) <- a;
-  r.data.(i + 4) <- b;
-  r.data.(i + 5) <- c;
-  Atomic.set r.head (h + 1)
+  let s = r.written land r.mask in
+  let i = s * 5 in
+  r.kinds.(s) <- k;
+  r.data.(i) <- ts;
+  r.data.(i + 1) <- vt;
+  r.data.(i + 2) <- a;
+  r.data.(i + 3) <- b;
+  r.data.(i + 4) <- c;
+  r.written <- r.written + 1
 
-let rec read r =
-  let t = Atomic.get r.tail in
-  if t >= Atomic.get r.head then None
-  else begin
-    let i = (t land r.mask) * 6 in
-    let k = r.data.(i)
-    and ts = r.data.(i + 1)
-    and vt = r.data.(i + 2)
-    and a = r.data.(i + 3)
-    and b = r.data.(i + 4)
-    and c = r.data.(i + 5) in
-    if Atomic.compare_and_set r.tail t (t + 1) then
-      Some
-        {
-          ev_kind = kind_of_code k;
-          ev_ts = ts;
-          ev_vt = vt;
-          ev_a = a;
-          ev_b = b;
-          ev_c = c;
-        }
-    else read r (* the writer dropped this slot under us: skip ahead *)
-  end
-
-let drain r =
-  let rec go acc = match read r with None -> List.rev acc | Some e -> go (e :: acc) in
-  go []
+let events r =
+  List.init
+    (r.written - drops r)
+    (fun j ->
+      let s = (drops r + j) land r.mask in
+      let i = s * 5 in
+      {
+        ev_kind = r.kinds.(s);
+        ev_ts = r.data.(i);
+        ev_vt = r.data.(i + 1);
+        ev_a = r.data.(i + 2);
+        ev_b = r.data.(i + 3);
+        ev_c = r.data.(i + 4);
+      })

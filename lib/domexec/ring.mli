@@ -1,19 +1,13 @@
-(** Fixed-capacity SPSC event ring, one per domain.
+(** Fixed-capacity event buffer, one per domain per attempt.
 
-    The owning domain is the only writer; the merge side (domain 0,
-    after [Domain.join]) is the only reader. Writes never block and
-    never allocate: an event is five unboxed ints copied into a
-    preallocated flat array, so tracing stays off the scheduler's
-    critical path. When the ring is full the {e oldest} event is
-    dropped (and counted) rather than stalling the writer — a trace
-    with a truncated head and an honest drop counter beats a slow run.
-
-    Concurrent draining is also safe (single reader racing the single
-    writer): the reader claims the tail slot by CAS, so an event the
-    writer is overwriting during an overflow is discarded, never
-    observed torn. The post-join drain path needs none of this — the
-    join is a full synchronization point — but the stress tests
-    exercise the live-reader discipline. *)
+    The owning domain is the only writer; the recorder reads the ring
+    once, after [Domain.join], which is the only synchronization the
+    reader needs. Writes never block and never allocate: an event is a
+    kind (an immediate) and five ints stored into preallocated flat
+    arrays, so tracing stays off the scheduler's critical path. When
+    the ring is full the {e oldest} event is overwritten and counted
+    as a drop rather than stalling the writer — a trace with a
+    truncated head and an honest drop counter beats a slow run. *)
 
 type kind =
   | Run_begin  (** a=domain, b=domain count, c=attempt index *)
@@ -55,31 +49,22 @@ type t
 
 val default_capacity : int
 
-(** [create ~dom ()] preallocates a ring of [capacity] slots (rounded
-    up to a power of two; default {!default_capacity}) owned by domain
-    [dom]. *)
-val create : ?capacity:int -> dom:int -> unit -> t
-
-val dom : t -> int
+(** [create ()] preallocates a ring of [capacity] slots (rounded up to
+    a power of two; default {!default_capacity}). *)
+val create : ?capacity:int -> unit -> t
 
 (** The actual (rounded) capacity. *)
 val capacity : t -> int
 
-(** Write one event. Writer-only; never blocks, never allocates.
-    [vt] defaults to 0. *)
+(** Write one event. Never blocks, never allocates. [vt] defaults
+    to 0. *)
 val emit : t -> kind -> ts:int -> ?vt:int -> a:int -> b:int -> c:int -> unit -> unit
 
 (** Total events ever written (drops included). *)
 val written : t -> int
 
-(** Events overwritten before being read. *)
+(** Events overwritten by newer ones. *)
 val drops : t -> int
 
-(** Events currently buffered. *)
-val length : t -> int
-
-(** Consume the oldest event. Reader-only. *)
-val read : t -> event option
-
-(** Consume everything currently buffered, oldest first. *)
-val drain : t -> event list
+(** The kept events, oldest first. Read after the writer has joined. *)
+val events : t -> event list

@@ -37,10 +37,11 @@ let wall_pid = 1
 let sim_loop_pid = 10
 let sim_thread_pid t = 100 + t
 
-(* Real OCaml domains (the domexec executor) emit Sim-clock events —
-   their timestamps are host nanoseconds rather than simulated cycles,
-   so re-timing would be wrong — in a tid namespace far above any
-   simulated thread id, and get one pseudo-process per domain. *)
+(* Real OCaml domains (the domexec executor's recorder) arrive as
+   Sim-clock events — their timestamps are per-domain logical ticks,
+   already deterministic, so they are kept — in a tid namespace far
+   above any simulated thread id, and get one pseudo-process per
+   domain. *)
 let domain_tid_base = 1000
 let domain_pid d = 2000 + d
 

@@ -7,9 +7,10 @@
     at export). *)
 
 (** Sim-clock events with [tid >= domain_tid_base] belong to real
-    OCaml domains (the domexec executor): tid [domain_tid_base + d]
-    renders as pseudo-process "domain-d", and its timestamps (host
-    nanoseconds) are kept verbatim rather than re-timed. *)
+    OCaml domains (the domexec executor's recorder): tid
+    [domain_tid_base + d] renders as pseudo-process "domain-d", and its
+    timestamps (the recorder's per-domain logical ticks) are kept
+    verbatim rather than re-timed. *)
 val domain_tid_base : int
 
 type t
