@@ -1,15 +1,14 @@
-(** See the interface. Three stages: parse each (attempt, domain)
-    event stream into blocks of typed segments separated by barrier
-    joins; replay the blocks through a virtual clock that advances
-    domains independently and synchronizes them at each join; read
-    the critical path off the replay (the per-phase leader's
-    segments) under both the measured-ns and the virtual-time
-    weighting. *)
+(** See the interface. Three stages: cut each (attempt, domain)
+    segment stream into blocks separated by barrier joins; replay the
+    blocks through a virtual clock that advances domains independently
+    and synchronizes them at each join; read the critical path off the
+    replay (the per-phase leader's segments) under both the
+    measured-ns and the virtual-time weighting. *)
 
-(* Accounting classes. [Exec..Interp] are parse-time segment modes;
-   [Gc] is carved out of Exec/Interp/Merge segments in proportion to
-   the measured pause time; [Barrier] is derived slack, never a
-   segment the replay advances through. *)
+(* Accounting classes, in report order. [Exec..Interp] are segment
+   classes; [Gc] is carved out of Exec/Interp/Merge segments in
+   proportion to the measured pause time; [Barrier] is derived slack,
+   never a segment the replay advances through. *)
 let cls_exec = 0
 let cls_claim = 1
 let cls_steal = 2
@@ -20,16 +19,8 @@ let cls_interp = 6
 let cls_barrier = 7
 let ncls = 8
 
-let cls_name = function
-  | 0 -> "exec"
-  | 1 -> "claim"
-  | 2 -> "steal"
-  | 3 -> "backoff"
-  | 4 -> "merge"
-  | 5 -> "gc"
-  | 6 -> "interp"
-  | 7 -> "barrier"
-  | _ -> assert false
+let cls_name c =
+  [| "exec"; "claim"; "steal"; "backoff"; "merge"; "gc"; "interp"; "barrier" |].(c)
 
 type seg = {
   sg_cls : int;
@@ -44,28 +35,22 @@ type block = {
   bk_join : (int * int) option;  (** (lid, invocation) barrier key *)
 }
 
+type sim = {
+  sm_wall : float;
+  sm_barrier : float;  (** derived slack at joins, summed over domains *)
+  sm_class_path : float array;
+  sm_class_total : float array;
+}
+
 type profile = {
+  p_streams : Segments.stream array list;  (** per attempt, per domain *)
+  p_chains : block list array list;  (** the same, cut into blocks *)
   p_domains : int;
-  p_attempts : int;
-  p_chains : block list array list;  (** per attempt, per domain *)
   p_schedule : string list array;  (** chunk labels per domain, in order *)
   p_joins : int;
-  p_chunks : int;
-  p_stolen : int;
-  p_steal_empty : int;
-  p_steal_lost : int;
-  p_events : int;
-  p_drops : int;
   p_merge_bytes : int;
-  (* baseline replays, filled at analysis time *)
-  p_wall_ns : float;
-  p_barrier_ns : float;
-  p_class_path_ns : float array;
-  p_class_total_ns : float array;
-  p_vt_wall : float;
-  p_vt_total : float;
-  p_class_path_vt : float array;
-  p_class_total_vt : float array;
+  p_measured : sim;  (** baseline replay in measured ns *)
+  p_vt : sim;  (** baseline replay in interpreter cycles *)
   p_top_chunks : (string * float) list;
 }
 
@@ -112,19 +97,19 @@ let blocks_of ~merge_bytes (st : Segments.stream) : block list =
             (0, segs) s.s_carves
         in
         let self = max 0 (s.s_ns - carved) in
-        let seg cls label vt =
-          if self > 0 || s.s_vt > 0 then (blocks, seg cls label self vt :: segs)
-          else (blocks, segs)
+        let kept = self > 0 || s.s_vt > 0 in
+        let keep cls label vt =
+          if kept then (blocks, seg cls label self vt :: segs) else (blocks, segs)
         in
         match s.s_cls with
         | Segments.Barrier ->
           ({ bk_segs = List.rev segs; bk_join = Some (s.s_lid, s.s_inv) } :: blocks, [])
-        | Interp -> seg cls_interp "interp" s.s_vt
-        | Claim -> seg cls_claim "claim" s.s_vt
-        | Exec -> seg cls_exec (chunk_label s) s.s_vt
+        | Interp -> keep cls_interp "interp" s.s_vt
+        | Claim -> keep cls_claim "claim" s.s_vt
+        | Exec -> keep cls_exec (chunk_label s) s.s_vt
         | Merge ->
-          if self > 0 || s.s_vt > 0 then merge_bytes := !merge_bytes + s.s_bytes;
-          seg cls_merge
+          if kept then merge_bytes := !merge_bytes + s.s_bytes;
+          keep cls_merge
             (Printf.sprintf "merge L%d" s.s_lid)
             (s.s_vt + merge_vt_of_bytes s.s_bytes))
       ([], []) st.st_segs
@@ -134,13 +119,6 @@ let blocks_of ~merge_bytes (st : Segments.stream) : block list =
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
-
-type sim = {
-  sm_wall : float;
-  sm_barrier : float;  (** derived slack at joins, summed over domains *)
-  sm_class_path : float array;
-  sm_class_total : float array;
-}
 
 (* [dur seg] returns the (self, gc) weights the replay advances by;
    self books under the segment's class, gc under [cls_gc]. Each
@@ -229,9 +207,6 @@ let analyze (t : Domtrace.t) : profile =
   let doms = List.fold_left (fun m s -> max m (Array.length s)) 0 streams in
   let merge_bytes = ref 0 in
   let chains = List.map (Array.map (blocks_of ~merge_bytes)) streams in
-  let sum f =
-    List.fold_left (Array.fold_left (fun n (st : Segments.stream) -> n + f st)) 0 streams
-  in
   (* Carve the measured GC pause time out of the classes it actually
      interrupts (chunk execution, interpreter time, merge replay),
      per domain, in proportion to each segment's duration. The
@@ -265,35 +240,21 @@ let analyze (t : Domtrace.t) : profile =
         segs
     end
   done;
-  let measured = simulate chains ~dur:dur_measured in
-  let vt = simulate chains ~dur:dur_vt in
-  let execs =
-    List.concat_map
-      (fun att ->
-        List.concat_map
-          (fun bl ->
-            List.concat_map
-              (fun b -> List.filter (fun s -> s.sg_cls = cls_exec) b.bk_segs)
-              bl)
-          (Array.to_list att))
-      chains
-  in
-  let top_chunks =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl s.sg_label) in
-        Hashtbl.replace tbl s.sg_label (prev +. s.sg_ns +. s.sg_gc_ns))
-      execs;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (la, a) (lb, b) ->
-           match compare b a with 0 -> compare la lb | c -> c)
-    |> List.filteri (fun i _ -> i < 5)
-  in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (Array.iter
+       (List.iter (fun b ->
+            List.iter
+              (fun s ->
+                if s.sg_cls = cls_exec then
+                  let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl s.sg_label) in
+                  Hashtbl.replace tbl s.sg_label (prev +. s.sg_ns +. s.sg_gc_ns))
+              b.bk_segs)))
+    chains;
   {
-    p_domains = doms;
-    p_attempts = List.length streams;
+    p_streams = streams;
     p_chains = chains;
+    p_domains = doms;
     p_schedule =
       Array.init doms (fun d ->
           List.concat_map
@@ -306,47 +267,56 @@ let analyze (t : Domtrace.t) : profile =
                   sts.(d).Segments.st_segs)
             streams);
     p_joins = List.fold_left (fun n att -> n + joins_of att) 0 chains;
-    p_chunks = sum (fun st -> st.st_chunks);
-    p_stolen = sum (fun st -> st.st_stolen);
-    p_steal_empty = sum (fun st -> st.st_steal_empty);
-    p_steal_lost = sum (fun st -> st.st_steal_lost);
-    p_events = sum (fun st -> st.st_written);
-    p_drops = sum (fun st -> st.st_drops);
     p_merge_bytes = !merge_bytes;
-    p_wall_ns = measured.sm_wall;
-    p_barrier_ns = measured.sm_barrier;
-    p_class_path_ns = measured.sm_class_path;
-    p_class_total_ns = measured.sm_class_total;
-    p_vt_wall = vt.sm_wall;
-    p_vt_total =
-      Array.fold_left ( +. ) 0.0 vt.sm_class_total -. vt.sm_class_total.(cls_barrier);
-    p_class_path_vt = vt.sm_class_path;
-    p_class_total_vt = vt.sm_class_total;
-    p_top_chunks = top_chunks;
+    p_measured = simulate chains ~dur:dur_measured;
+    p_vt = simulate chains ~dur:dur_vt;
+    p_top_chunks =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+      |> List.sort (fun (la, a) (lb, b) ->
+             match compare b a with 0 -> compare la lb | c -> c)
+      |> List.filteri (fun i _ -> i < 5);
   }
 
+(* A count summed over every stream of every attempt. *)
+let count p f =
+  List.fold_left (Array.fold_left (fun n (st : Segments.stream) -> n + f st)) 0 p.p_streams
+
 let domains p = p.p_domains
-let attempts p = p.p_attempts
-let wall_ns p = p.p_wall_ns
-let vt_critpath p = int_of_float p.p_vt_wall
+let attempts p = List.length p.p_streams
+let wall_ns p = p.p_measured.sm_wall
+let vt_critpath p = int_of_float p.p_vt.sm_wall
+
+let vt_total p =
+  Array.fold_left ( +. ) 0.0 p.p_vt.sm_class_total -. p.p_vt.sm_class_total.(cls_barrier)
 
 let model_parallelism p =
-  if p.p_vt_wall <= 0.0 then 1.0 else p.p_vt_total /. p.p_vt_wall
+  if p.p_vt.sm_wall <= 0.0 then 1.0 else vt_total p /. p.p_vt.sm_wall
 
 let model_speedup p ~seq_cycles =
-  if p.p_vt_wall <= 0.0 then 1.0 else float_of_int seq_cycles /. p.p_vt_wall
+  if p.p_vt.sm_wall <= 0.0 then 1.0 else float_of_int seq_cycles /. p.p_vt.sm_wall
 
 let measured_speedup p ~seq_ns =
-  if p.p_wall_ns <= 0.0 then 1.0 else seq_ns /. p.p_wall_ns
+  if wall_ns p <= 0.0 then 1.0 else seq_ns /. wall_ns p
 
 let dominant p =
+  let path = p.p_measured.sm_class_path in
   let best = ref cls_exec in
-  Array.iteri
-    (fun i v -> if i <> cls_barrier && v > p.p_class_path_ns.(!best) then best := i)
-    p.p_class_path_ns;
-  let len = Array.fold_left ( +. ) 0.0 p.p_class_path_ns in
-  let share = if len <= 0.0 then 0.0 else p.p_class_path_ns.(!best) /. len in
-  (cls_name !best, share)
+  Array.iteri (fun i v -> if i <> cls_barrier && v > path.(!best) then best := i) path;
+  let len = Array.fold_left ( +. ) 0.0 path in
+  (cls_name !best, if len <= 0.0 then 0.0 else path.(!best) /. len)
+
+(* How much slower a parallel-run cycle is than a sequential one:
+   host-level overhead (write logging, observer hooks, allocation
+   pressure) the cycle model does not see. (parallel, sequential,
+   ratio) ns per cycle. *)
+let exec_inflation p ~seq_ns ~seq_cycles =
+  match (seq_ns, seq_cycles) with
+  | Some sn, Some sc when sc > 0 && p.p_vt.sm_class_total.(cls_exec) > 0.0 ->
+    let tot = p.p_measured.sm_class_total in
+    let par = (tot.(cls_exec) +. tot.(cls_gc)) /. p.p_vt.sm_class_total.(cls_exec) in
+    let seq = sn /. float_of_int sc in
+    Some (par, seq, if seq > 0.0 then par /. seq else 0.0)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* What-if                                                             *)
@@ -355,51 +325,38 @@ let dominant p =
 type whatif_row = { wf_target : string; wf_speedups : (int * float) list }
 
 let whatif ?(ks = [ 10; 25; 50; 100 ]) (p : profile) : whatif_row list =
-  let base = p.p_wall_ns in
-  let speedup_with dur =
-    let s = simulate p.p_chains ~dur in
-    if s.sm_wall <= 0.0 then 1.0 else base /. s.sm_wall
+  (* [dur f] weighs a segment with the target shrunk to [f] *)
+  let row target dur =
+    {
+      wf_target = target;
+      wf_speedups =
+        List.map
+          (fun k ->
+            let s = simulate p.p_chains ~dur:(dur (1.0 -. (float_of_int k /. 100.0))) in
+            (k, if s.sm_wall <= 0.0 then 1.0 else wall_ns p /. s.sm_wall))
+          ks;
+    }
   in
-  let class_target c k =
-    let f = 1.0 -. (float_of_int k /. 100.0) in
-    if c = cls_gc then fun s -> (s.sg_ns, s.sg_gc_ns *. f)
-    else fun s ->
-      if s.sg_cls = c then (s.sg_ns *. f, s.sg_gc_ns) else dur_measured s
+  let class_row c =
+    row (cls_name c) (fun f s ->
+        if c = cls_gc then (s.sg_ns, s.sg_gc_ns *. f)
+        else if s.sg_cls = c then (s.sg_ns *. f, s.sg_gc_ns)
+        else dur_measured s)
   in
-  let chunk_target label k =
-    let f = 1.0 -. (float_of_int k /. 100.0) in
-    fun s ->
-      if s.sg_cls = cls_exec && String.equal s.sg_label label then
-        (s.sg_ns *. f, s.sg_gc_ns *. f)
-      else dur_measured s
-  in
-  let classes =
-    List.filter
-      (fun c -> p.p_class_total_ns.(c) > 0.0)
-      [ cls_exec; cls_interp; cls_merge; cls_gc; cls_claim; cls_steal;
-        cls_backoff ]
-  in
-  let rows =
-    List.map
-      (fun c ->
-        {
-          wf_target = cls_name c;
-          wf_speedups =
-            List.map (fun k -> (k, speedup_with (class_target c k))) ks;
-        })
-      classes
-  in
+  List.map class_row
+    (List.filter
+       (fun c -> p.p_measured.sm_class_total.(c) > 0.0)
+       [ cls_exec; cls_interp; cls_merge; cls_gc; cls_claim; cls_steal; cls_backoff ])
+  @
   match p.p_top_chunks with
   | (label, _) :: _ ->
-    rows
-    @ [
-        {
-          wf_target = label;
-          wf_speedups =
-            List.map (fun k -> (k, speedup_with (chunk_target label k))) ks;
-        };
-      ]
-  | [] -> rows
+    [
+      row label (fun f s ->
+          if s.sg_cls = cls_exec && String.equal s.sg_label label then
+            (s.sg_ns *. f, s.sg_gc_ns *. f)
+          else dur_measured s);
+    ]
+  | [] -> []
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -411,27 +368,24 @@ let whatif_rows = whatif
 let to_json ?seq_ns ?seq_cycles ?(whatif = false) ?(extra = []) (p : profile)
     : Telemetry.Json.t =
   let module J = Telemetry.Json in
-  let classes_json arr_path arr_tot =
+  let classes_json (s : sim) =
     J.List
-      (List.map
-         (fun c ->
+      (List.init ncls (fun c ->
            J.Obj
              [
                ("class", J.Str (cls_name c));
-               ("path", J.Int (int_of_float arr_path.(c)));
-               ("total", J.Int (int_of_float arr_tot.(c)));
-             ])
-         [ cls_exec; cls_claim; cls_steal; cls_backoff; cls_merge; cls_gc;
-           cls_interp; cls_barrier ])
+               ("path", J.Int (int_of_float s.sm_class_path.(c)));
+               ("total", J.Int (int_of_float s.sm_class_total.(c)));
+             ]))
   in
   let model =
     J.Obj
       ([
          ("unit", J.Str "interpreter cycles (merge: replayed bytes / 8)");
-         ("critpath", J.Int (int_of_float p.p_vt_wall));
-         ("total", J.Int (int_of_float p.p_vt_total));
+         ("critpath", J.Int (int_of_float p.p_vt.sm_wall));
+         ("total", J.Int (int_of_float (vt_total p)));
          ("parallelism", J.Float (model_parallelism p));
-         ("classes", classes_json p.p_class_path_vt p.p_class_total_vt);
+         ("classes", classes_json p.p_vt);
        ]
       @
       match seq_cycles with
@@ -447,14 +401,14 @@ let to_json ?seq_ns ?seq_cycles ?(whatif = false) ?(extra = []) (p : profile)
     :: extra
     @ [
         ("domains", J.Int p.p_domains);
-        ("attempts", J.Int p.p_attempts);
+        ("attempts", J.Int (attempts p));
         ("joins", J.Int p.p_joins);
-        ("chunks", J.Int p.p_chunks);
-        ("stolen", J.Int p.p_stolen);
-        ("steal_empty", J.Int p.p_steal_empty);
-        ("steal_lost", J.Int p.p_steal_lost);
-        ("events", J.Int p.p_events);
-        ("drops", J.Int p.p_drops);
+        ("chunks", J.Int (count p (fun st -> st.st_chunks)));
+        ("stolen", J.Int (count p (fun st -> st.st_stolen)));
+        ("steal_empty", J.Int (count p (fun st -> st.st_steal_empty)));
+        ("steal_lost", J.Int (count p (fun st -> st.st_steal_lost)));
+        ("events", J.Int (count p (fun st -> st.st_written)));
+        ("drops", J.Int (count p (fun st -> st.st_drops)));
         ("merge_bytes", J.Int p.p_merge_bytes);
         ( "schedule",
           J.List
@@ -477,9 +431,9 @@ let to_json ?seq_ns ?seq_cycles ?(whatif = false) ?(extra = []) (p : profile)
     let measured =
       J.Obj
         ([
-           ("wall_ns", J.Int (int_of_float p.p_wall_ns));
-           ("barrier_ns", J.Int (int_of_float p.p_barrier_ns));
-           ("classes", classes_json p.p_class_path_ns p.p_class_total_ns);
+           ("wall_ns", J.Int (int_of_float (wall_ns p)));
+           ("barrier_ns", J.Int (int_of_float p.p_measured.sm_barrier));
+           ("classes", classes_json p.p_measured);
            ("dominant", J.Str dom_cls);
            ("dominant_share", J.Float dom_share);
            ( "top_chunks",
@@ -498,30 +452,18 @@ let to_json ?seq_ns ?seq_cycles ?(whatif = false) ?(extra = []) (p : profile)
             ]
           | None -> [])
         @
-        match (seq_ns, seq_cycles) with
-        | Some sn, Some sc when sc > 0 && p.p_class_total_vt.(cls_exec) > 0.0
-          ->
-          (* how much slower a parallel-run cycle is than a
-             sequential one: host-level overhead (write logging,
-             observer hooks, allocation pressure) the cycle model
-             does not see *)
-          let par_nspc =
-            (p.p_class_total_ns.(cls_exec) +. p.p_class_total_ns.(cls_gc))
-            /. p.p_class_total_vt.(cls_exec)
-          in
-          let seq_nspc = sn /. float_of_int sc in
+        match exec_inflation p ~seq_ns ~seq_cycles with
+        | Some (par, seq, ratio) ->
           [
             ( "exec_inflation",
               J.Obj
                 [
-                  ("par_ns_per_cycle", J.Float par_nspc);
-                  ("seq_ns_per_cycle", J.Float seq_nspc);
-                  ( "ratio",
-                    J.Float (if seq_nspc > 0.0 then par_nspc /. seq_nspc else 0.0)
-                  );
+                  ("par_ns_per_cycle", J.Float par);
+                  ("seq_ns_per_cycle", J.Float seq);
+                  ("ratio", J.Float ratio);
                 ] );
           ]
-        | _ -> [])
+        | None -> [])
     in
     let wf =
       J.List
@@ -543,93 +485,80 @@ let to_json ?seq_ns ?seq_cycles ?(whatif = false) ?(extra = []) (p : profile)
 
 let to_table ?seq_ns ?seq_cycles ?(whatif = false) (p : profile) : string =
   let b = Buffer.create 2048 in
-  let pc x total = if total <= 0.0 then 0.0 else 100.0 *. x /. total in
-  Buffer.add_string b
+  let line s = Buffer.add_string b s in
+  (* one row per class with time on the path or in total *)
+  let classes (s : sim) ~scale row =
+    let len = Array.fold_left ( +. ) 0.0 s.sm_class_path in
+    for c = 0 to ncls - 1 do
+      let path = s.sm_class_path.(c) and total = s.sm_class_total.(c) in
+      if total > 0.0 || path > 0.0 then
+        line
+          (row (cls_name c) (path /. scale)
+             (if len <= 0.0 then 0.0 else 100.0 *. path /. len)
+             (total /. scale))
+    done
+  in
+  let drops = count p (fun st -> st.st_drops) in
+  line
     (Printf.sprintf
        "critical path: %d domain(s), %d attempt(s), %d join(s), %d chunk(s), \
         %d event(s)%s\n"
-       p.p_domains p.p_attempts p.p_joins p.p_chunks p.p_events
-       (if p.p_drops > 0 then Printf.sprintf ", %d drop(s)" p.p_drops else ""));
-  let path_vt_len = Array.fold_left ( +. ) 0.0 p.p_class_path_vt in
-  Buffer.add_string b
+       p.p_domains (attempts p) p.p_joins
+       (count p (fun st -> st.st_chunks))
+       (count p (fun st -> st.st_written))
+       (if drops > 0 then Printf.sprintf ", %d drop(s)" drops else ""));
+  line
     (Printf.sprintf
        "model (cycles): critpath=%.0f total=%.0f parallelism=%.2f%s\n"
-       p.p_vt_wall p.p_vt_total (model_parallelism p)
+       p.p_vt.sm_wall (vt_total p) (model_parallelism p)
        (match seq_cycles with
        | Some sc ->
          Printf.sprintf " model-speedup=%.2fx" (model_speedup p ~seq_cycles:sc)
        | None -> ""));
-  Buffer.add_string b
+  line
     (Printf.sprintf "%-9s %14s %7s %14s\n" "class" "path-cycles" "share"
        "total-cycles");
-  List.iter
-    (fun c ->
-      if p.p_class_total_vt.(c) > 0.0 || p.p_class_path_vt.(c) > 0.0 then
-        Buffer.add_string b
-          (Printf.sprintf "%-9s %14.0f %6.1f%% %14.0f\n" (cls_name c)
-             p.p_class_path_vt.(c)
-             (pc p.p_class_path_vt.(c) path_vt_len)
-             p.p_class_total_vt.(c)))
-    [ cls_exec; cls_claim; cls_steal; cls_backoff; cls_merge; cls_gc;
-      cls_interp; cls_barrier ];
+  classes p.p_vt ~scale:1.0 (Printf.sprintf "%-9s %14.0f %6.1f%% %14.0f\n");
   if whatif then begin
     let dom_cls, dom_share = dominant p in
-    let path_len = Array.fold_left ( +. ) 0.0 p.p_class_path_ns in
-    Buffer.add_string b
+    line
       (Printf.sprintf
          "measured: wall=%.2fms barrier=%.2fms dominant=%s (%.0f%% of path)%s\n"
-         (p.p_wall_ns /. 1e6) (p.p_barrier_ns /. 1e6) dom_cls
+         (wall_ns p /. 1e6) (p.p_measured.sm_barrier /. 1e6) dom_cls
          (100.0 *. dom_share)
          (match seq_ns with
          | Some sn ->
            Printf.sprintf " measured-speedup=%.2fx"
              (measured_speedup p ~seq_ns:sn)
          | None -> ""));
-    Buffer.add_string b
+    line
       (Printf.sprintf "%-9s %11s %7s %11s\n" "class" "path-ms" "share"
          "total-ms");
-    List.iter
-      (fun c ->
-        if p.p_class_total_ns.(c) > 0.0 || p.p_class_path_ns.(c) > 0.0 then
-          Buffer.add_string b
-            (Printf.sprintf "%-9s %11.2f %6.1f%% %11.2f\n" (cls_name c)
-               (p.p_class_path_ns.(c) /. 1e6)
-               (pc p.p_class_path_ns.(c) path_len)
-               (p.p_class_total_ns.(c) /. 1e6)))
-      [ cls_exec; cls_claim; cls_steal; cls_backoff; cls_merge; cls_gc;
-        cls_interp; cls_barrier ];
-    (match (seq_ns, seq_cycles) with
-    | Some sn, Some sc when sc > 0 && p.p_class_total_vt.(cls_exec) > 0.0 ->
-      let par_nspc =
-        (p.p_class_total_ns.(cls_exec) +. p.p_class_total_ns.(cls_gc))
-        /. p.p_class_total_vt.(cls_exec)
-      in
-      let seq_nspc = sn /. float_of_int sc in
-      Buffer.add_string b
-        (Printf.sprintf
-           "exec inflation: %.2f ns/cycle parallel vs %.2f ns/cycle \
-            sequential (%.2fx)\n"
-           par_nspc seq_nspc
-           (if seq_nspc > 0.0 then par_nspc /. seq_nspc else 0.0))
-    | _ -> ());
-    let rows = whatif_rows p in
-    (match rows with
+    classes p.p_measured ~scale:1e6 (Printf.sprintf "%-9s %11.2f %6.1f%% %11.2f\n");
+    Option.iter
+      (fun (par, seq, ratio) ->
+        line
+          (Printf.sprintf
+             "exec inflation: %.2f ns/cycle parallel vs %.2f ns/cycle \
+              sequential (%.2fx)\n"
+             par seq ratio))
+      (exec_inflation p ~seq_ns ~seq_cycles);
+    match whatif_rows p with
     | [] -> ()
-    | r0 :: _ ->
-      Buffer.add_string b
-        (Printf.sprintf "what-if (virtual speedup from shrinking by k%%)\n");
-      Buffer.add_string b
+    | r0 :: _ as rows ->
+      line "what-if (virtual speedup from shrinking by k%)\n";
+      line
         (Printf.sprintf "%-9s %s\n" "target"
            (String.concat " "
               (List.map (fun (k, _) -> Printf.sprintf "%7d%%" k) r0.wf_speedups)));
       List.iter
         (fun r ->
-          Buffer.add_string b
+          line
             (Printf.sprintf "%-9s %s\n" r.wf_target
                (String.concat " "
                   (List.map
                      (fun (_, s) -> Printf.sprintf "%7.2fx" s)
                      r.wf_speedups))))
-        rows)
+        rows
   end;
   Buffer.contents b

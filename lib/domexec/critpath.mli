@@ -5,11 +5,11 @@
     finished per domain; every distributed invocation ends in a
     barrier (all domains arrive before any [Merge_begin]) followed by
     a per-domain write-log replay and output splice. This module
-    reconstructs that DAG, splits each domain's timeline into typed
-    {e segments} (chunk execution, claim gaps, steal probes,
-    supervision backoff, merge replay, GC pauses, and the remaining
-    interpreter time — replicated loops, straight-line code and the
-    skip-traversal of non-owned iterations), and replays the schedule
+    reconstructs that DAG from each domain's typed {!Segments} (chunk
+    execution, claim gaps, steal probes, supervision backoff, merge
+    replay, GC pauses, and the remaining interpreter time — replicated
+    loops, straight-line code and the skip-traversal of non-owned
+    iterations), and replays the schedule
     through a virtual clock: domains advance through their segments
     and synchronize at each merge barrier. The longest chain through
     that replay is the critical path; per-phase leaders' segments are
@@ -40,8 +40,8 @@
 
 type profile
 
-(** Reconstruct and replay the recording. Uses
-    {!Domtrace.attempt_events} (cached draining, so combining with
+(** Reconstruct and replay the recording. Folds over
+    {!Domtrace.segments} (computed once per recorder, so combining with
     {!Domtrace.to_chrome} or {!Domtrace.Sched_report} over the same
     recorder is fine) and the measured GC pause time attributed per
     domain by {!Domtrace.Sched_report.analyze}. *)

@@ -43,8 +43,6 @@ module Gcstat = struct
      outermost span is wall time spent in the runtime *)
   let depth : (int, int * int64) Hashtbl.t = Hashtbl.create 8
   let total_ns = ref 0
-  let state = ref None
-  let failed = ref false
 
   let runtime_begin ring ts _phase =
     let d, t0 = try Hashtbl.find depth ring with Not_found -> (0, 0L) in
@@ -62,27 +60,20 @@ module Gcstat = struct
         total_ns := !total_ns + max 0 (Int64.to_int (Int64.sub t t0))
       end
 
-  let ensure () =
-    match !state with
-    | Some _ -> true
-    | None ->
-      if !failed then false
-      else begin
-        try
-          Runtime_events.start ();
-          let cursor = Runtime_events.create_cursor None in
-          let cb =
-            Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ()
-          in
-          state := Some (cursor, cb);
-          true
-        with _ ->
-          failed := true;
-          false
-      end
+  (* started on first use; [None] when runtime events are unavailable *)
+  let state =
+    lazy
+      (try
+         Runtime_events.start ();
+         Some
+           ( Runtime_events.create_cursor None,
+             Runtime_events.Callbacks.create ~runtime_begin ~runtime_end () )
+       with _ -> None)
+
+  let ensure () = Option.is_some (Lazy.force state)
 
   let poll () =
-    match !state with
+    match Lazy.force state with
     | Some (cursor, cb) -> (
       try ignore (Runtime_events.read_poll cursor cb None) with _ -> ())
     | None -> ()
@@ -119,14 +110,6 @@ let end_attempt t =
 
 let attempt_count t = List.length t.dt_attempts
 
-let fold_rings t f init =
-  List.fold_left
-    (fun acc a -> Array.fold_left f acc a.at_rings)
-    init t.dt_attempts
-
-let total_events t = fold_rings t (fun acc r -> acc + Ring.written r) 0
-let total_drops t = fold_rings t (fun acc r -> acc + Ring.drops r) 0
-
 (* A ring only drops when full, so a domain that dropped [n] events kept
    exactly [capacity]: replaying [n] copies of its oldest kept event
    first makes the ring drop exactly the copies. *)
@@ -162,6 +145,12 @@ let segments t =
 let domain_count streams =
   List.fold_left (fun m s -> max m (Array.length s)) 0 streams
 
+let total f t =
+  List.fold_left (Array.fold_left (fun n st -> n + f st)) 0 (segments t)
+
+let total_events = total (fun st -> st.Segments.st_written)
+let total_drops = total (fun st -> st.Segments.st_drops)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome merge                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -171,7 +160,9 @@ let domain_count streams =
    the exported timestamps depend only on the event sequence. Claim,
    chunk and merge segments become spans inside the attempt's span,
    point events instants; a segment ends where the next begins, so B/E
-   pairs nest and balance by construction. *)
+   pairs nest and balance by construction. Items are listed attempt
+   span first, segments in order, attempt end last, then sorted stably
+   by tick: at a boundary the closing span's E precedes the next B. *)
 let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
   let emit = (Telemetry.Chrome_trace.sink into).Telemetry.Sink.emit in
   let streams = segments t in
@@ -189,16 +180,16 @@ let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
            at tick (fun ts -> Telemetry.Event.Span_end { name; clock; tid; ts })
          in
          let span (s : Segments.seg) name = [ b name s.s_tick0; e name s.s_tick1 ] in
-         let attempt k =
+         let opening, closing =
            match st.st_attempt with
            | Some (a, t0, t1) ->
              let name = Printf.sprintf "attempt-%d" a in
-             [ k name t0 t1 ]
-           | None -> []
+             ([ b name t0 ], [ e name (Option.value t1 ~default:st.st_events) ])
+           | None -> ([], [])
          in
          List.stable_sort
            (fun (x, _) (y, _) -> compare x y)
-           (attempt (fun name t0 _ -> b name t0)
+           (opening
            @ List.concat_map
                (fun (s : Segments.seg) ->
                  match s.s_cls with
@@ -213,8 +204,7 @@ let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
                      Telemetry.Event.Instant
                        { name = Ring.kind_name k; cat = "sched"; clock; tid; ts }))
                st.st_points
-           @ attempt (fun name _ t1 ->
-                 e name (Option.value t1 ~default:st.st_events)))
+           @ closing)
          |> List.iter (fun (_, ev) -> emit ev);
          base.(d) <- base.(d) + st.st_events))
     streams;
@@ -278,49 +268,39 @@ module Sched_report = struct
      injected stall's claim gap measurable: the poison observation that
      unwinds the domain is its last event. *)
   let row streams d =
-    let add r (st : Segments.stream) =
-      let sum cls =
-        List.fold_left
-          (fun n (s : Segments.seg) -> if s.s_cls = cls then n + s.s_ns else n)
-          0 st.st_segs
-      in
-      {
-        r with
-        dr_run_ns = r.dr_run_ns + st.st_run_ns;
-        dr_busy_ns = r.dr_busy_ns + sum Exec;
-        dr_claim_ns = r.dr_claim_ns + sum Claim;
-        dr_steal_ns = r.dr_steal_ns + st.st_steal_ns;
-        dr_backoff_ns = r.dr_backoff_ns + st.st_backoff_ns;
-        dr_merge_ns = r.dr_merge_ns + sum Merge;
-        dr_chunks = r.dr_chunks + st.st_chunks;
-        dr_stolen = r.dr_stolen + st.st_stolen;
-        dr_steal_empty = r.dr_steal_empty + st.st_steal_empty;
-        dr_steal_lost = r.dr_steal_lost + st.st_steal_lost;
-        dr_retries = r.dr_retries + st.st_retries;
-        dr_poisoned = r.dr_poisoned || st.st_poisoned;
-        dr_gc_minor = r.dr_gc_minor + st.st_gc_minor;
-        dr_gc_major = r.dr_gc_major + st.st_gc_major;
-        dr_gc_minor_words = r.dr_gc_minor_words + st.st_gc_words;
-        dr_gc_dirty_chunks = r.dr_gc_dirty_chunks + st.st_gc_dirty;
-        dr_drops = r.dr_drops + st.st_drops;
-      }
+    let sts = List.filter_map (fun s -> if d < Array.length s then Some s.(d) else None) streams in
+    let sum f = List.fold_left (fun n (st : Segments.stream) -> n + f st) 0 sts in
+    let seg_ns cls =
+      sum (fun st ->
+          List.fold_left
+            (fun n (s : Segments.seg) -> if s.s_cls = cls then n + s.s_ns else n)
+            0 st.st_segs)
     in
-    let r =
-      List.fold_left
-        (fun r sts -> if d < Array.length sts then add r sts.(d) else r)
-        {
-          dr_dom = d; dr_run_ns = 0; dr_busy_ns = 0; dr_claim_ns = 0;
-          dr_steal_ns = 0; dr_backoff_ns = 0; dr_merge_ns = 0; dr_idle_ns = 0;
-          dr_chunks = 0; dr_stolen = 0; dr_steal_empty = 0; dr_steal_lost = 0;
-          dr_retries = 0; dr_poisoned = false; dr_gc_minor = 0; dr_gc_major = 0;
-          dr_gc_minor_words = 0; dr_gc_dirty_chunks = 0; dr_gc_ns = 0;
-          dr_drops = 0;
-        }
-        streams
-    in
-    (* backoff is slept inside the claim gap: already in claim *)
-    let accounted = r.dr_busy_ns + r.dr_claim_ns + r.dr_steal_ns + r.dr_merge_ns in
-    { r with dr_idle_ns = max 0 (r.dr_run_ns - accounted) }
+    let run = sum (fun st -> st.st_run_ns) and steal = sum (fun st -> st.st_steal_ns) in
+    let busy = seg_ns Exec and claim = seg_ns Claim and merge = seg_ns Merge in
+    {
+      dr_dom = d;
+      dr_run_ns = run;
+      dr_busy_ns = busy;
+      dr_claim_ns = claim;
+      dr_steal_ns = steal;
+      dr_backoff_ns = sum (fun st -> st.st_backoff_ns);
+      dr_merge_ns = merge;
+      (* backoff is slept inside the claim gap: already in claim *)
+      dr_idle_ns = max 0 (run - (busy + claim + steal + merge));
+      dr_chunks = sum (fun st -> st.st_chunks);
+      dr_stolen = sum (fun st -> st.st_stolen);
+      dr_steal_empty = sum (fun st -> st.st_steal_empty);
+      dr_steal_lost = sum (fun st -> st.st_steal_lost);
+      dr_retries = sum (fun st -> st.st_retries);
+      dr_poisoned = List.exists (fun (st : Segments.stream) -> st.st_poisoned) sts;
+      dr_gc_minor = sum (fun st -> st.st_gc_minor);
+      dr_gc_major = sum (fun st -> st.st_gc_major);
+      dr_gc_minor_words = sum (fun st -> st.st_gc_words);
+      dr_gc_dirty_chunks = sum (fun st -> st.st_gc_dirty);
+      dr_gc_ns = 0;
+      dr_drops = sum (fun st -> st.st_drops);
+    }
 
   let analyze (t : t) : report =
     let streams = segments t in

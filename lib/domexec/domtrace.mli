@@ -1,7 +1,8 @@
 (** Domain-level scheduler tracing: a recorder handed to {!Exec.run}
     (directly or through {!Supervisor.run}), which fills one {!Ring}
-    per domain per attempt, plus the two consumers the rings exist
-    for — a merged Chrome trace and a scheduler-health analyzer.
+    per domain per attempt. Each ring is read once, by the {!Segments}
+    pass; the merged Chrome trace, the scheduler-health analyzer here
+    and {!Critpath} are folds over those segments.
 
     The recorder outlives executor attempts on purpose: a supervised
     re-run appends a fresh set of rings, so the trace of a failed

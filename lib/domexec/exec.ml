@@ -605,26 +605,20 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
             ~b ~c ()
         | None -> ()
       in
-      let gmin = ref 0 and gmaj = ref 0 and gwords = ref 0.0 in
-      let gc_reset () =
-        if gc_on then begin
-          let q = Gc.quick_stat () in
-          gmin := q.Gc.minor_collections;
-          gmaj := q.Gc.major_collections;
-          gwords := q.Gc.minor_words
-        end
-      in
-      (* [Gc.quick_stat] delta since the previous chunk boundary. *)
+      (* [Gc.quick_stat] delta since the previous sample; the first
+         call, at run start, only takes the baseline. *)
+      let gc_prev = ref None in
       let gc_sample () =
         if gc_on then begin
           let q = Gc.quick_stat () in
-          remit Ring.Gc_sample
-            ~a:(q.Gc.minor_collections - !gmin)
-            ~b:(q.Gc.major_collections - !gmaj)
-            ~c:(int_of_float (q.Gc.minor_words -. !gwords));
-          gmin := q.Gc.minor_collections;
-          gmaj := q.Gc.major_collections;
-          gwords := q.Gc.minor_words
+          Option.iter
+            (fun (p : Gc.stat) ->
+              remit Ring.Gc_sample
+                ~a:(q.minor_collections - p.minor_collections)
+                ~b:(q.major_collections - p.major_collections)
+                ~c:(int_of_float (q.minor_words -. p.minor_words)))
+            !gc_prev;
+          gc_prev := Some q
         end
       in
       let inv_count : (Ast.lid, int) Hashtbl.t = Hashtbl.create 8 in
@@ -733,15 +727,13 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
          verify it, then let the fault plan corrupt it in flight (the
          corruption the verification exists to catch). *)
       let complete_chunk da =
-        (let slot = da.da_slot in
-         let c = (da.da_cur_hi - 1) / slot.sl_chunk in
-         remit Ring.Chunk_finish ~a:(fst slot.sl_key) ~b:(snd slot.sl_key) ~c;
-         gc_sample ());
+        let slot = da.da_slot in
+        let c = (da.da_cur_hi - 1) / slot.sl_chunk in
+        remit Ring.Chunk_finish ~a:(fst slot.sl_key) ~b:(snd slot.sl_key) ~c;
+        gc_sample ();
         match sup with
         | None -> ()
         | Some sv ->
-          let slot = da.da_slot in
-          let c = (da.da_cur_hi - 1) / slot.sl_chunk in
           let ck = chunk_ref_of slot c in
           slot.sl_sums.(c) <- chunk_digest slot c;
           slot.sl_done.(c) <- true;
@@ -970,7 +962,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                   Interp.Machine.set_global_int st Expand.Names.tid 0;
                   active := None));
       remit Ring.Run_begin ~a:d ~b:n ~c:attempt_idx;
-      gc_reset ();
+      gc_sample ();
       let code = Interp.Machine.run m in
       remit Ring.Run_end ~a:d ~b:0 ~c:0;
       code

@@ -81,96 +81,72 @@ let of_ring ring =
       end
     | None -> ()
   in
-  let attempt = ref None and run_ts = ref None in
-  let st =
-    ref
-      {
-        st_segs = [];
-        st_points = [];
-        st_attempt = None;
-        st_events = n;
-        st_written = Ring.written ring;
-        st_drops = Ring.drops ring;
-        st_run_ns = 0;
-        st_chunks = 0;
-        st_stolen = 0;
-        st_steal_empty = 0;
-        st_steal_lost = 0;
-        st_steal_ns = 0;
-        st_backoff_ns = 0;
-        st_retries = 0;
-        st_poisoned = false;
-        st_gc_minor = 0;
-        st_gc_major = 0;
-        st_gc_words = 0;
-        st_gc_dirty = 0;
-      }
-  in
+  let run_begin = ref None and run_end = ref None in
   List.iteri
     (fun tick (e : Ring.event) ->
-      let s = !st in
-      let boundary cls ?close_as ?bytes () =
+      let boundary ?opens ?close_as ?bytes () =
         close ?cls:close_as ?bytes e tick;
-        Option.iter (fun c -> cur := Some (c, e, tick)) cls
+        Option.iter (fun c -> cur := Some (c, e, tick)) opens
       in
-      let point s' =
-        points := (tick, e.Ring.ev_kind) :: !points;
-        st := s'
-      in
-      let steal s' =
-        carve e (fun ns -> Steal ns);
-        point { s' with st_steal_ns = s'.st_steal_ns + max 0 e.ev_c }
-      in
+      let point () = points := (tick, e.Ring.ev_kind) :: !points in
       match e.Ring.ev_kind with
       | Ring.Run_begin ->
         (* the gap before the domain started belongs to no segment *)
         cur := None;
-        boundary (Some Interp) ();
-        attempt := Some (e.ev_c, tick, None);
-        run_ts := Some (e.ev_ts, None)
+        boundary ~opens:Interp ();
+        run_begin := Some (e, tick)
       | Ring.Run_end ->
-        boundary None ();
-        attempt := Option.map (fun (a, t0, _) -> (a, t0, Some tick)) !attempt;
-        run_ts := Option.map (fun (t0, _) -> (t0, Some e.ev_ts)) !run_ts
-      | Ring.Chunk_claim -> boundary (Some Claim) ()
-      | Ring.Chunk_start -> boundary (Some Exec) ()
-      | Ring.Chunk_finish ->
-        boundary (Some Interp) ();
-        st := { s with st_chunks = s.st_chunks + 1 }
-      | Ring.Merge_begin -> boundary (Some Merge) ~close_as:Barrier ()
-      | Ring.Merge_end -> boundary (Some Interp) ~bytes:(max 0 e.ev_c) ()
-      | Ring.Steal_stolen -> steal { s with st_stolen = s.st_stolen + 1 }
-      | Ring.Steal_empty -> steal { s with st_steal_empty = s.st_steal_empty + 1 }
-      | Ring.Steal_lost -> steal { s with st_steal_lost = s.st_steal_lost + 1 }
+        boundary ();
+        run_end := Some (e, tick)
+      | Ring.Chunk_claim -> boundary ~opens:Claim ()
+      | Ring.Chunk_start -> boundary ~opens:Exec ()
+      | Ring.Chunk_finish -> boundary ~opens:Interp ()
+      | Ring.Merge_begin -> boundary ~opens:Merge ~close_as:Barrier ()
+      | Ring.Merge_end -> boundary ~opens:Interp ~bytes:(max 0 e.ev_c) ()
+      | Ring.Steal_stolen | Ring.Steal_empty | Ring.Steal_lost ->
+        carve e (fun ns -> Steal ns);
+        point ()
       | Ring.Backoff ->
         carve e (fun ns -> Backoff ns);
-        point { s with st_backoff_ns = s.st_backoff_ns + max 0 e.ev_c }
-      | Ring.Retry -> point { s with st_retries = s.st_retries + 1 }
-      | Ring.Heartbeat -> point s
-      | Ring.Poison -> point { s with st_poisoned = true }
-      | Ring.Gc_sample ->
-        point
-          {
-            s with
-            st_gc_minor = s.st_gc_minor + max 0 e.ev_a;
-            st_gc_major = s.st_gc_major + max 0 e.ev_b;
-            st_gc_words = s.st_gc_words + max 0 e.ev_c;
-            st_gc_dirty =
-              (s.st_gc_dirty + if e.ev_a > 0 || e.ev_b > 0 then 1 else 0);
-          })
+        point ()
+      | Ring.Retry | Ring.Heartbeat | Ring.Poison | Ring.Gc_sample -> point ())
     events;
   let last = if n = 0 then None else List.nth_opt events (n - 1) in
   Option.iter (fun e -> close e n) last;
-  let run_ns =
-    match (!run_ts, last) with
-    | Some (t0, Some t1), _ | Some (t0, None), Some { Ring.ev_ts = t1; _ } ->
-      max 0 (t1 - t0)
-    | _ -> 0
+  let count p = List.length (List.filter p events) in
+  let is k (e : Ring.event) = e.ev_kind = k in
+  let sum ks f =
+    List.fold_left
+      (fun acc (e : Ring.event) -> if List.mem e.ev_kind ks then acc + max 0 (f e) else acc)
+      0 events
   in
+  let steals = [ Ring.Steal_stolen; Ring.Steal_empty; Ring.Steal_lost ] in
   {
-    !st with
     st_segs = List.rev !segs;
     st_points = List.rev !points;
-    st_attempt = !attempt;
-    st_run_ns = run_ns;
+    st_attempt =
+      Option.map
+        (fun ((b : Ring.event), t0) -> (b.ev_c, t0, Option.map snd !run_end))
+        !run_begin;
+    st_events = n;
+    st_written = Ring.written ring;
+    st_drops = Ring.drops ring;
+    st_run_ns =
+      (match (!run_begin, !run_end, last) with
+      | Some (b, _), Some (e, _), _ | Some (b, _), None, Some e ->
+        max 0 (e.ev_ts - b.ev_ts)
+      | _ -> 0);
+    st_chunks = count (is Ring.Chunk_finish);
+    st_stolen = count (is Ring.Steal_stolen);
+    st_steal_empty = count (is Ring.Steal_empty);
+    st_steal_lost = count (is Ring.Steal_lost);
+    st_steal_ns = sum steals (fun e -> e.ev_c);
+    st_backoff_ns = sum [ Ring.Backoff ] (fun e -> e.ev_c);
+    st_retries = count (is Ring.Retry);
+    st_poisoned = count (is Ring.Poison) > 0;
+    st_gc_minor = sum [ Ring.Gc_sample ] (fun e -> e.ev_a);
+    st_gc_major = sum [ Ring.Gc_sample ] (fun e -> e.ev_b);
+    st_gc_words = sum [ Ring.Gc_sample ] (fun e -> e.ev_c);
+    st_gc_dirty =
+      count (fun e -> is Ring.Gc_sample e && (e.ev_a > 0 || e.ev_b > 0));
   }
