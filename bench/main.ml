@@ -325,7 +325,8 @@ let update_hint = "hint: `bench --update-baseline` refreshes bench/BASELINE.json
 (* The regression gate, two halves:
 
    - cycles: every metric present in both the baseline and this run
-     may grow by at most 15% (deterministic, so this is tight);
+     is deterministic, so any growth is a regression; a drop is
+     reported, and `--update-baseline` accepts it;
    - wall clock: the median-of-N speedup on real domains may fall by
      at most 35% (hosts are noisy, so this is loose). Wall entries
      are only comparable on hosts with at least as many cores as the
@@ -338,7 +339,6 @@ let update_hint = "hint: `bench --update-baseline` refreshes bench/BASELINE.json
    missing from the baseline is not a failure: it is reported with a
    one-line hint to refresh the baseline. *)
 let compare_against ~file (benches : Harness.Bench_run.t list) : int =
-  let tolerance = 0.15 in
   let wall_tolerance = 0.35 in
   let base = Telemetry.Json.of_string_exn (read_file file) in
   let base_workloads =
@@ -360,8 +360,7 @@ let compare_against ~file (benches : Harness.Bench_run.t list) : int =
   let regressions = ref 0 in
   let stale = ref false in
   Printf.printf
-    "== regression gate vs %s (cycles %+.0f%%, wall %+.0f%%) ==\n" file
-    (tolerance *. 100.)
+    "== regression gate vs %s (cycles exact, wall %+.0f%%) ==\n" file
     (wall_tolerance *. 100.);
   List.iter
     (fun b ->
@@ -375,20 +374,16 @@ let compare_against ~file (benches : Harness.Bench_run.t list) : int =
           (fun (metric, cur) ->
             match Telemetry.Json.member metric base_obj with
             | Some (Telemetry.Json.Int bv) ->
-              let worse =
-                if bv = 0 then cur > 0
-                else
-                  float_of_int cur
-                  > float_of_int bv *. (1. +. tolerance)
-              in
               let delta =
                 if bv = 0 then 0.
                 else (float_of_int cur /. float_of_int bv -. 1.) *. 100.
               in
-              if worse then incr regressions;
+              if cur > bv then incr regressions;
               Printf.printf "%-16s %-12s %12d -> %12d  %+6.1f%%%s\n" name
                 metric bv cur delta
-                (if worse then "  REGRESSION" else "")
+                (if cur > bv then "  REGRESSION"
+                 else if cur < bv then "  improved (--update-baseline accepts)"
+                 else "")
             | _ ->
               stale := true;
               Printf.printf "%-16s %-12s not in baseline, skipped\n" name

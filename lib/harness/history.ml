@@ -115,11 +115,11 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Deterministic cycle counts barely move between runs, so 2% is
-   already generous; wall-clock numbers on shared CI hosts need the
-   same loose 25% the bench compare gate uses for speedups. *)
+(* Cycle counts are deterministic, so any growth is a regression (and
+   any drop an improvement); wall-clock numbers on shared CI hosts
+   need a loose 25%. *)
 let default_tolerance key =
-  if contains ~sub:"/cycles" key then Some (0.02, true)
+  if contains ~sub:"/cycles" key then Some (0.0, true)
   else if contains ~sub:"speedup" key then Some (0.25, false)
   else if contains ~sub:"wall" key then Some (0.25, false)
   else None

@@ -9,7 +9,7 @@
     pairs. Key naming carries the comparison semantics:
 
     - keys containing ["/cycles"] are deterministic simulator or
-      interpreter counts — tight tolerance, higher is worse;
+      interpreter counts — gated exactly, higher is worse;
     - keys containing ["speedup"] or ["wall"] are host measurements —
       loose tolerance, lower is worse;
     - anything else is tracked but never flagged.
@@ -65,8 +65,8 @@ type series = {
 
 (** Per-metric tolerance (fraction) and whether larger values are
     worse; [None] = informational only. The default implements the
-    key-naming convention above: 2% for cycle counts, 25% for wall
-    and speedup numbers. *)
+    key-naming convention above: 0 for cycle counts (any increase
+    regresses), 25% for wall and speedup numbers. *)
 val default_tolerance : string -> (float * bool) option
 
 (** Analyze every metric series across [entries] (oldest first).

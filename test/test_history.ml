@@ -54,8 +54,8 @@ let append_load () =
 
 let tolerance_mapping () =
   Alcotest.(check (option (pair (float 1e-9) bool)))
-    "cycle counts gate tight, larger worse"
-    (Some (0.02, true))
+    "cycle counts gate exactly, larger worse"
+    (Some (0.0, true))
     (H.default_tolerance "md5/cycles/seq_total");
   Alcotest.(check (option (pair (float 1e-9) bool)))
     "speedups gate loose, smaller worse"
@@ -86,8 +86,7 @@ let stable_trend () =
     (wall.H.s_verdict = H.Stable);
   Alcotest.(check int) "nothing regressed" 0 (H.regressions [ cyc; wall ])
 
-(* Synthetically injected regressions: a cycle-count jump far beyond
-   the 2% band and a speedup collapse beyond the 25% band must both be
+(* Synthetically injected regressions: a cycle-count jump and a speedup collapse beyond the 25% band must both be
    flagged, and the changepoint must name the run that jumped. *)
 let injected_regression () =
   let cyc =
@@ -114,6 +113,23 @@ let injected_regression () =
     (spike.H.s_verdict = H.Stable);
   Alcotest.(check (option int)) "spike run identified" (Some 4)
     spike.H.s_changepoint
+
+(* Cycle counts are deterministic: one extra cycle is a regression,
+   one fewer an improvement. *)
+let one_cycle () =
+  let up =
+    verdict_of "md5/cycles/seq_total"
+      [ 1000.; 1000.; 1000.; 1000.; 1000.; 1001. ]
+  in
+  Alcotest.(check bool) "+1 cycle regressed" true (up.H.s_verdict = H.Regressed);
+  Alcotest.(check (option int)) "changepoint is the +1" (Some 5)
+    up.H.s_changepoint;
+  let down =
+    verdict_of "md5/cycles/seq_total"
+      [ 1000.; 1000.; 1000.; 1000.; 1000.; 999. ]
+  in
+  Alcotest.(check bool) "-1 cycle improved" true
+    (down.H.s_verdict = H.Improved)
 
 (* Getting faster is not a regression. *)
 let improvement () =
@@ -162,6 +178,7 @@ let () =
           Alcotest.test_case "fault-free stable" `Quick stable_trend;
           Alcotest.test_case "injected regression flagged" `Quick
             injected_regression;
+          Alcotest.test_case "one extra cycle regresses" `Quick one_cycle;
           Alcotest.test_case "improvement not punished" `Quick improvement;
           Alcotest.test_case "informational never gated" `Quick informational;
           Alcotest.test_case "report wording" `Quick rendering;
