@@ -595,7 +595,7 @@ let emit_domtrace ~file ~domain_trace ~sched_report ~sched_format dtrace =
       !trace_collector;
     (match domain_trace with
     | Some path ->
-      Domexec.Domtrace.write_chrome tr path;
+      Telemetry.Chrome_trace.write (Domexec.Domtrace.to_chrome tr) path;
       Printf.printf "domain trace -> %s (%d attempt(s), %d events, %d drops)\n"
         path
         (Domexec.Domtrace.attempt_count tr)

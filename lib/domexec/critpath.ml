@@ -19,8 +19,10 @@ let cls_interp = 6
 let cls_barrier = 7
 let ncls = 8
 
-let cls_name c =
-  [| "exec"; "claim"; "steal"; "backoff"; "merge"; "gc"; "interp"; "barrier" |].(c)
+let cls_names =
+  [| "exec"; "claim"; "steal"; "backoff"; "merge"; "gc"; "interp"; "barrier" |]
+
+let cls_name c = cls_names.(c)
 
 type seg = {
   sg_cls : int;
@@ -57,7 +59,8 @@ type profile = {
 (* Joins in an attempt: the most any domain took part in. *)
 let joins_of (att : block list array) =
   Array.fold_left
-    (fun m bl -> max m (List.length (List.filter (fun b -> b.bk_join <> None) bl)))
+    (fun m bl ->
+      max m (List.length (List.filter (fun b -> b.bk_join <> None) bl)))
     0 att
 
 (* ------------------------------------------------------------------ *)
@@ -80,7 +83,13 @@ let chunk_label (s : Segments.seg) =
    segments kept. *)
 let blocks_of ~merge_bytes (st : Segments.stream) : block list =
   let seg cls label ns vt =
-    { sg_cls = cls; sg_label = label; sg_ns = float_of_int ns; sg_gc_ns = 0.0; sg_vt = vt }
+    {
+      sg_cls = cls;
+      sg_label = label;
+      sg_ns = float_of_int ns;
+      sg_gc_ns = 0.0;
+      sg_vt = vt;
+    }
   in
   let blocks, segs =
     List.fold_left
@@ -99,11 +108,13 @@ let blocks_of ~merge_bytes (st : Segments.stream) : block list =
         let self = max 0 (s.s_ns - carved) in
         let kept = self > 0 || s.s_vt > 0 in
         let keep cls label vt =
-          if kept then (blocks, seg cls label self vt :: segs) else (blocks, segs)
+          if kept then (blocks, seg cls label self vt :: segs)
+          else (blocks, segs)
         in
         match s.s_cls with
         | Segments.Barrier ->
-          ({ bk_segs = List.rev segs; bk_join = Some (s.s_lid, s.s_inv) } :: blocks, [])
+          let join = Some (s.s_lid, s.s_inv) in
+          ({ bk_segs = List.rev segs; bk_join = join } :: blocks, [])
         | Interp -> keep cls_interp "interp" s.s_vt
         | Claim -> keep cls_claim "claim" s.s_vt
         | Exec -> keep cls_exec (chunk_label s) s.s_vt
@@ -126,7 +137,8 @@ let blocks_of ~merge_bytes (st : Segments.stream) : block list =
    join runs it, then all wait for the slowest — the leader, whose
    contribution is on the path — and a final phase runs what is left
    (the attempt-end join). *)
-let simulate (chains : block list array list) ~(dur : seg -> float * float) : sim =
+let simulate (chains : block list array list) ~(dur : seg -> float * float)
+    : sim =
   let path = Array.make ncls 0.0 in
   let tot = Array.make ncls 0.0 in
   let barrier = ref 0.0 in
@@ -204,53 +216,42 @@ let dur_vt (s : seg) = (float_of_int s.sg_vt, 0.0)
 
 let analyze (t : Domtrace.t) : profile =
   let streams = Domtrace.segments t in
-  let doms = List.fold_left (fun m s -> max m (Array.length s)) 0 streams in
+  let doms = Segments.domains streams in
   let merge_bytes = ref 0 in
   let chains = List.map (Array.map (blocks_of ~merge_bytes)) streams in
+  (* [f d seg] over every replay segment, attempt by attempt *)
+  let iter_segs f =
+    List.iter
+      (Array.iteri (fun d -> List.iter (fun b -> List.iter (f d) b.bk_segs)))
+      chains
+  in
   (* Carve the measured GC pause time out of the classes it actually
      interrupts (chunk execution, interpreter time, merge replay),
      per domain, in proportion to each segment's duration. The
      per-domain pause estimate comes from the sched analyzer's
      allocation-proportional attribution. *)
-  let rows = (Domtrace.Sched_report.analyze t).Domtrace.Sched_report.sr_domains in
-  for d = 0 to doms - 1 do
-    let segs =
-      List.concat_map
-        (fun att ->
-          if d >= Array.length att then []
-          else
-            List.concat_map
-              (fun b ->
-                List.filter
-                  (fun s ->
-                    s.sg_cls = cls_exec || s.sg_cls = cls_interp
-                    || s.sg_cls = cls_merge)
-                  b.bk_segs)
-              att.(d))
-        chains
-    in
-    let total = List.fold_left (fun acc s -> acc +. s.sg_ns) 0.0 segs in
-    let gc = float_of_int rows.(d).Domtrace.Sched_report.dr_gc_ns in
-    if total > 0.0 && gc > 0.0 then begin
-      let f = min 1.0 (gc /. total) in
-      List.iter
-        (fun s ->
-          s.sg_gc_ns <- s.sg_ns *. f;
-          s.sg_ns <- s.sg_ns *. (1.0 -. f))
-        segs
-    end
-  done;
+  let rows =
+    (Domtrace.Sched_report.analyze t).Domtrace.Sched_report.sr_domains
+  in
+  let carveable s =
+    s.sg_cls = cls_exec || s.sg_cls = cls_interp || s.sg_cls = cls_merge
+  in
+  let total = Array.make doms 0.0 in
+  iter_segs (fun d s -> if carveable s then total.(d) <- total.(d) +. s.sg_ns);
+  iter_segs (fun d s ->
+      let gc = float_of_int rows.(d).Domtrace.Sched_report.dr_gc_ns in
+      if carveable s && total.(d) > 0.0 && gc > 0.0 then begin
+        let f = min 1.0 (gc /. total.(d)) in
+        s.sg_gc_ns <- s.sg_ns *. f;
+        s.sg_ns <- s.sg_ns *. (1.0 -. f)
+      end);
   let tbl = Hashtbl.create 64 in
-  List.iter
-    (Array.iter
-       (List.iter (fun b ->
-            List.iter
-              (fun s ->
-                if s.sg_cls = cls_exec then
-                  let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl s.sg_label) in
-                  Hashtbl.replace tbl s.sg_label (prev +. s.sg_ns +. s.sg_gc_ns))
-              b.bk_segs)))
-    chains;
+  iter_segs (fun _ s ->
+      if s.sg_cls = cls_exec then
+        let prev =
+          Option.value ~default:0.0 (Hashtbl.find_opt tbl s.sg_label)
+        in
+        Hashtbl.replace tbl s.sg_label (prev +. s.sg_ns +. s.sg_gc_ns));
   {
     p_streams = streams;
     p_chains = chains;
@@ -278,8 +279,7 @@ let analyze (t : Domtrace.t) : profile =
   }
 
 (* A count summed over every stream of every attempt. *)
-let count p f =
-  List.fold_left (Array.fold_left (fun n (st : Segments.stream) -> n + f st)) 0 p.p_streams
+let count p f = Segments.sum f p.p_streams
 
 let domains p = p.p_domains
 let attempts p = List.length p.p_streams
@@ -287,13 +287,15 @@ let wall_ns p = p.p_measured.sm_wall
 let vt_critpath p = int_of_float p.p_vt.sm_wall
 
 let vt_total p =
-  Array.fold_left ( +. ) 0.0 p.p_vt.sm_class_total -. p.p_vt.sm_class_total.(cls_barrier)
+  let tot = p.p_vt.sm_class_total in
+  Array.fold_left ( +. ) 0.0 tot -. tot.(cls_barrier)
 
 let model_parallelism p =
   if p.p_vt.sm_wall <= 0.0 then 1.0 else vt_total p /. p.p_vt.sm_wall
 
 let model_speedup p ~seq_cycles =
-  if p.p_vt.sm_wall <= 0.0 then 1.0 else float_of_int seq_cycles /. p.p_vt.sm_wall
+  if p.p_vt.sm_wall <= 0.0 then 1.0
+  else float_of_int seq_cycles /. p.p_vt.sm_wall
 
 let measured_speedup p ~seq_ns =
   if wall_ns p <= 0.0 then 1.0 else seq_ns /. wall_ns p
@@ -301,7 +303,9 @@ let measured_speedup p ~seq_ns =
 let dominant p =
   let path = p.p_measured.sm_class_path in
   let best = ref cls_exec in
-  Array.iteri (fun i v -> if i <> cls_barrier && v > path.(!best) then best := i) path;
+  Array.iteri
+    (fun i v -> if i <> cls_barrier && v > path.(!best) then best := i)
+    path;
   let len = Array.fold_left ( +. ) 0.0 path in
   (cls_name !best, if len <= 0.0 then 0.0 else path.(!best) /. len)
 
@@ -313,7 +317,9 @@ let exec_inflation p ~seq_ns ~seq_cycles =
   match (seq_ns, seq_cycles) with
   | Some sn, Some sc when sc > 0 && p.p_vt.sm_class_total.(cls_exec) > 0.0 ->
     let tot = p.p_measured.sm_class_total in
-    let par = (tot.(cls_exec) +. tot.(cls_gc)) /. p.p_vt.sm_class_total.(cls_exec) in
+    let par =
+      (tot.(cls_exec) +. tot.(cls_gc)) /. p.p_vt.sm_class_total.(cls_exec)
+    in
     let seq = sn /. float_of_int sc in
     Some (par, seq, if seq > 0.0 then par /. seq else 0.0)
   | _ -> None
@@ -332,7 +338,8 @@ let whatif ?(ks = [ 10; 25; 50; 100 ]) (p : profile) : whatif_row list =
       wf_speedups =
         List.map
           (fun k ->
-            let s = simulate p.p_chains ~dur:(dur (1.0 -. (float_of_int k /. 100.0))) in
+            let f = 1.0 -. (float_of_int k /. 100.0) in
+            let s = simulate p.p_chains ~dur:(dur f) in
             (k, if s.sm_wall <= 0.0 then 1.0 else wall_ns p /. s.sm_wall))
           ks;
     }
@@ -346,7 +353,10 @@ let whatif ?(ks = [ 10; 25; 50; 100 ]) (p : profile) : whatif_row list =
   List.map class_row
     (List.filter
        (fun c -> p.p_measured.sm_class_total.(c) > 0.0)
-       [ cls_exec; cls_interp; cls_merge; cls_gc; cls_claim; cls_steal; cls_backoff ])
+       [
+         cls_exec; cls_interp; cls_merge; cls_gc; cls_claim; cls_steal;
+         cls_backoff;
+       ])
   @
   match p.p_top_chunks with
   | (label, _) :: _ ->
@@ -534,7 +544,8 @@ let to_table ?seq_ns ?seq_cycles ?(whatif = false) (p : profile) : string =
     line
       (Printf.sprintf "%-9s %11s %7s %11s\n" "class" "path-ms" "share"
          "total-ms");
-    classes p.p_measured ~scale:1e6 (Printf.sprintf "%-9s %11.2f %6.1f%% %11.2f\n");
+    classes p.p_measured ~scale:1e6
+      (Printf.sprintf "%-9s %11.2f %6.1f%% %11.2f\n");
     Option.iter
       (fun (par, seq, ratio) ->
         line

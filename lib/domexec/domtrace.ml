@@ -87,7 +87,9 @@ let create ?(capacity = Ring.default_capacity) ?(gc = true) () =
 let gc_sampling t = t.dt_gc
 
 let begin_attempt t ~domains =
-  let rings = Array.init domains (fun _ -> Ring.create ~capacity:t.dt_capacity ()) in
+  let rings =
+    Array.init domains (fun _ -> Ring.create ~capacity:t.dt_capacity ())
+  in
   t.dt_attempts <-
     { at_rings = rings; at_streams = None; at_gc_ns = 0 } :: t.dt_attempts;
   if t.dt_gc && Gcstat.ensure () then begin
@@ -142,14 +144,8 @@ let segments t =
         s)
     t.dt_attempts
 
-let domain_count streams =
-  List.fold_left (fun m s -> max m (Array.length s)) 0 streams
-
-let total f t =
-  List.fold_left (Array.fold_left (fun n st -> n + f st)) 0 (segments t)
-
-let total_events = total (fun st -> st.Segments.st_written)
-let total_drops = total (fun st -> st.Segments.st_drops)
+let total_events t = Segments.sum (fun st -> st.st_written) (segments t)
+let total_drops t = Segments.sum (fun st -> st.st_drops) (segments t)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome merge                                                        *)
@@ -166,7 +162,7 @@ let total_drops = total (fun st -> st.Segments.st_drops)
 let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
   let emit = (Telemetry.Chrome_trace.sink into).Telemetry.Sink.emit in
   let streams = segments t in
-  let base = Array.make (domain_count streams) 0 in
+  let base = Array.make (Segments.domains streams) 0 in
   List.iter
     (Array.iteri (fun d (st : Segments.stream) ->
          let tid = Telemetry.Chrome_trace.domain_tid_base + d in
@@ -174,12 +170,19 @@ let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
          let at tick f = (tick, f (base.(d) + tick)) in
          let b name tick =
            at tick (fun ts ->
-               Telemetry.Event.Span_begin { name; cat = "domexec"; clock; tid; ts })
+               Telemetry.Event.Span_begin
+                 { name; cat = "domexec"; clock; tid; ts })
          in
          let e name tick =
            at tick (fun ts -> Telemetry.Event.Span_end { name; clock; tid; ts })
          in
-         let span (s : Segments.seg) name = [ b name s.s_tick0; e name s.s_tick1 ] in
+         let instant name tick =
+           at tick (fun ts ->
+               Telemetry.Event.Instant { name; cat = "sched"; clock; tid; ts })
+         in
+         let span (s : Segments.seg) name =
+           [ b name s.s_tick0; e name s.s_tick1 ]
+         in
          let opening, closing =
            match st.st_attempt with
            | Some (a, t0, t1) ->
@@ -193,24 +196,21 @@ let to_chrome ?(into = Telemetry.Chrome_trace.create ()) t =
            @ List.concat_map
                (fun (s : Segments.seg) ->
                  match s.s_cls with
-                 | Claim -> span s (Printf.sprintf "claim L%d#%d" s.s_lid s.s_chunk)
-                 | Exec -> span s (Printf.sprintf "chunk L%d#%d" s.s_lid s.s_chunk)
+                 | Claim ->
+                   span s (Printf.sprintf "claim L%d#%d" s.s_lid s.s_chunk)
+                 | Exec ->
+                   span s (Printf.sprintf "chunk L%d#%d" s.s_lid s.s_chunk)
                  | Merge -> span s (Printf.sprintf "merge L%d" s.s_lid)
                  | Interp | Barrier -> [])
                st.st_segs
            @ List.map
-               (fun (tick, k) ->
-                 at tick (fun ts ->
-                     Telemetry.Event.Instant
-                       { name = Ring.kind_name k; cat = "sched"; clock; tid; ts }))
+               (fun (tick, k) -> instant (Ring.kind_name k) tick)
                st.st_points
            @ closing)
          |> List.iter (fun (_, ev) -> emit ev);
          base.(d) <- base.(d) + st.st_events))
     streams;
   into
-
-let write_chrome t path = Telemetry.Chrome_trace.write (to_chrome t) path
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler-health analyzer                                           *)
@@ -268,15 +268,23 @@ module Sched_report = struct
      injected stall's claim gap measurable: the poison observation that
      unwinds the domain is its last event. *)
   let row streams d =
-    let sts = List.filter_map (fun s -> if d < Array.length s then Some s.(d) else None) streams in
-    let sum f = List.fold_left (fun n (st : Segments.stream) -> n + f st) 0 sts in
+    let sts =
+      List.filter_map
+        (fun s -> if d < Array.length s then Some s.(d) else None)
+        streams
+    in
+    let sum f =
+      List.fold_left (fun n (st : Segments.stream) -> n + f st) 0 sts
+    in
     let seg_ns cls =
       sum (fun st ->
           List.fold_left
-            (fun n (s : Segments.seg) -> if s.s_cls = cls then n + s.s_ns else n)
+            (fun n (s : Segments.seg) ->
+              if s.s_cls = cls then n + s.s_ns else n)
             0 st.st_segs)
     in
-    let run = sum (fun st -> st.st_run_ns) and steal = sum (fun st -> st.st_steal_ns) in
+    let run = sum (fun st -> st.st_run_ns) in
+    let steal = sum (fun st -> st.st_steal_ns) in
     let busy = seg_ns Exec and claim = seg_ns Claim and merge = seg_ns Merge in
     {
       dr_dom = d;
@@ -293,7 +301,8 @@ module Sched_report = struct
       dr_steal_empty = sum (fun st -> st.st_steal_empty);
       dr_steal_lost = sum (fun st -> st.st_steal_lost);
       dr_retries = sum (fun st -> st.st_retries);
-      dr_poisoned = List.exists (fun (st : Segments.stream) -> st.st_poisoned) sts;
+      dr_poisoned =
+        List.exists (fun (st : Segments.stream) -> st.st_poisoned) sts;
       dr_gc_minor = sum (fun st -> st.st_gc_minor);
       dr_gc_major = sum (fun st -> st.st_gc_major);
       dr_gc_minor_words = sum (fun st -> st.st_gc_words);
@@ -304,7 +313,10 @@ module Sched_report = struct
 
   let analyze (t : t) : report =
     let streams = segments t in
-    let rows = Array.init (domain_count streams) (row streams) in
+    let rows = Array.init (Segments.domains streams) (row streams) in
+    let n = Array.length rows in
+    let sum f = Array.fold_left (fun s r -> s + f r) 0 rows in
+    let runs = sum (fun r -> r.dr_run_ns) in
     (* Attribute the measured process-wide GC pause time (runtime
        events account every runtime domain, but under recycled ring
        ids — see {!Gcstat}) to logical domains in proportion to the
@@ -313,8 +325,7 @@ module Sched_report = struct
        record per logical domain. *)
     let gc_total = List.fold_left (fun s a -> s + a.at_gc_ns) 0 t.dt_attempts in
     let rows =
-      let words = Array.fold_left (fun s r -> s + r.dr_gc_minor_words) 0 rows in
-      let runs = Array.fold_left (fun s r -> s + r.dr_run_ns) 0 rows in
+      let words = sum (fun r -> r.dr_gc_minor_words) in
       (* rounding remainder goes to the last row so the per-domain
          shares sum exactly to the measured total *)
       let booked = ref 0 in
@@ -324,35 +335,27 @@ module Sched_report = struct
             if words > 0 then
               float_of_int r.dr_gc_minor_words /. float_of_int words
             else if runs > 0 then float_of_int r.dr_run_ns /. float_of_int runs
-            else if Array.length rows > 0 then
-              1.0 /. float_of_int (Array.length rows)
-            else 0.0
+            else 1.0 /. float_of_int n
           in
           let share =
-            if i = Array.length rows - 1 then gc_total - !booked
+            if i = n - 1 then gc_total - !booked
             else int_of_float (float_of_int gc_total *. weight)
           in
           booked := !booked + share;
           { r with dr_gc_ns = share })
         rows
     in
-    let n = Array.length rows in
     let work r = r.dr_busy_ns + r.dr_claim_ns in
-    let total_work = Array.fold_left (fun s r -> s + work r) 0 rows in
-    let mean_work = if n = 0 then 0.0 else float_of_int total_work /. float_of_int n in
+    let mean_work =
+      if n = 0 then 0.0 else float_of_int (sum work) /. float_of_int n
+    in
     let max_work = Array.fold_left (fun m r -> max m (work r)) 0 rows in
     let imbalance =
       if mean_work <= 0.0 then 1.0 else float_of_int max_work /. mean_work
     in
-    let leader =
-      Array.fold_left
-        (fun best r -> match best with
-          | Some b when work b >= work r -> best
-          | _ -> Some r)
-        None rows
-    in
+    (* the candidate is the first domain doing the most work *)
     let straggler =
-      match leader with
+      match Array.find_opt (fun r -> work r = max_work) rows with
       | Some r
         when n > 1
              && imbalance > warn_ratio
@@ -361,16 +364,7 @@ module Sched_report = struct
       | _ -> None
     in
     let steal_attempts =
-      Array.fold_left
-        (fun s r -> s + r.dr_stolen + r.dr_steal_empty + r.dr_steal_lost)
-        0 rows
-    in
-    let steal_success =
-      if steal_attempts = 0 then None
-      else
-        Some
-          (float_of_int (Array.fold_left (fun s r -> s + r.dr_stolen) 0 rows)
-          /. float_of_int steal_attempts)
+      sum (fun r -> r.dr_stolen + r.dr_steal_empty + r.dr_steal_lost)
     in
     (* GC share of total domain time, from measured pause time. The
        old definition — the fraction of chunk boundaries whose
@@ -378,30 +372,28 @@ module Sched_report = struct
        every real workload (any chunk big enough to be worth
        distributing allocates through several minor heaps), which is
        why every BENCH report pinned gc_share at exactly 1.0. *)
-    let total_run = Array.fold_left (fun s r -> s + r.dr_run_ns) 0 rows in
     let gc_share =
-      if total_run <= 0 then 0.0
-      else min 1.0 (float_of_int gc_total /. float_of_int total_run)
+      if runs <= 0 then 0.0
+      else min 1.0 (float_of_int gc_total /. float_of_int runs)
     in
     let drops = total_drops t in
     let warnings =
-      (match straggler with
-      | Some d ->
+      List.filter_map Fun.id
         [
-          Printf.sprintf
-            "domain %d is a straggler: %.2fx the mean busy+claim time" d
-            imbalance;
+          Option.map
+            (fun d ->
+              Printf.sprintf
+                "domain %d is a straggler: %.2fx the mean busy+claim time" d
+                imbalance)
+            straggler;
+          (if drops = 0 then None
+           else
+             Some
+               (Printf.sprintf
+                  "%d ring event(s) dropped (capacity %d); utilization \
+                   numbers undercount — raise the ring capacity"
+                  drops t.dt_capacity));
         ]
-      | None -> [])
-      @
-      if drops > 0 then
-        [
-          Printf.sprintf
-            "%d ring event(s) dropped (capacity %d); utilization numbers \
-             undercount — raise the ring capacity"
-            drops t.dt_capacity;
-        ]
-      else []
     in
     {
       sr_domains = rows;
@@ -410,7 +402,12 @@ module Sched_report = struct
       sr_events = total_events t;
       sr_drops = drops;
       sr_steal_attempts = steal_attempts;
-      sr_steal_success = steal_success;
+      sr_steal_success =
+        (if steal_attempts = 0 then None
+         else
+           Some
+             (float_of_int (sum (fun r -> r.dr_stolen))
+             /. float_of_int steal_attempts));
       sr_imbalance = imbalance;
       sr_straggler = straggler;
       sr_gc_ns = gc_total;

@@ -72,10 +72,6 @@ val segments : t -> Segments.stream array list
     by construction. *)
 val to_chrome : ?into:Telemetry.Chrome_trace.t -> t -> Telemetry.Chrome_trace.t
 
-(** [to_chrome] rendered and written to [path] (one JSON object plus
-    newline, like [--trace]). *)
-val write_chrome : t -> string -> unit
-
 (** The scheduler-health analyzer: where each domain's wall time went
     (chunk execution, claim gaps — injected stalls land here — steal
     probing, supervision backoff, merge replay, idle), steal success,

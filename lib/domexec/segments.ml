@@ -74,7 +74,8 @@ let of_ring ring =
   let carve (e : Ring.event) mk =
     match !cur with
     | Some (_, o, _) ->
-      let ns = min (max 0 e.Ring.ev_c) (max 0 (e.ev_ts - o.Ring.ev_ts - !carved)) in
+      let avail = max 0 (e.Ring.ev_ts - o.Ring.ev_ts - !carved) in
+      let ns = min (max 0 e.ev_c) avail in
       if ns > 0 then begin
         carves := mk ns :: !carves;
         carved := !carved + ns
@@ -117,7 +118,8 @@ let of_ring ring =
   let is k (e : Ring.event) = e.ev_kind = k in
   let sum ks f =
     List.fold_left
-      (fun acc (e : Ring.event) -> if List.mem e.ev_kind ks then acc + max 0 (f e) else acc)
+      (fun acc (e : Ring.event) ->
+        if List.mem e.ev_kind ks then acc + max 0 (f e) else acc)
       0 events
   in
   let steals = [ Ring.Steal_stolen; Ring.Steal_empty; Ring.Steal_lost ] in
@@ -150,3 +152,9 @@ let of_ring ring =
     st_gc_dirty =
       count (fun e -> is Ring.Gc_sample e && (e.ev_a > 0 || e.ev_b > 0));
   }
+
+let domains streams =
+  List.fold_left (fun m s -> max m (Array.length s)) 0 streams
+
+let sum f streams =
+  List.fold_left (Array.fold_left (fun n st -> n + f st)) 0 streams

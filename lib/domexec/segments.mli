@@ -23,7 +23,9 @@ type carve = Steal of int | Backoff of int
 
 type seg = {
   s_cls : cls;
-  s_ns : int;  (** host ns from the opening to the closing event, carves included *)
+  s_ns : int;
+      (** host ns from the opening to the closing event, carves
+          included *)
   s_vt : int;  (** interpreter cycles advanced over the segment *)
   s_carves : carve list;
   s_tick0 : int;  (** index of the opening event in the stream *)
@@ -66,3 +68,9 @@ type stream = {
 }
 
 val of_ring : Ring.t -> stream
+
+(** The most domains any attempt had, over per-attempt stream arrays. *)
+val domains : stream array list -> int
+
+(** [f] summed over every stream of every attempt. *)
+val sum : (stream -> int) -> stream array list -> int

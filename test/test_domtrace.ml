@@ -292,7 +292,8 @@ let crash_accounting () =
   let tr = Domtrace.create () in
   let sup =
     Domexec.Supervisor.run ~domains:2 ~force:true
-      ~fault:(Faultinject.Fault.make ~seed:11 (Faultinject.Fault.Domain_crash 2))
+      ~fault:
+        (Faultinject.Fault.make ~seed:11 (Faultinject.Fault.Domain_crash 2))
       ~trace:tr
       b.Harness.Bench_run.expanded.Expand.Transform.transformed plan
       b.Harness.Bench_run.lids

@@ -86,8 +86,9 @@ let stable_trend () =
     (wall.H.s_verdict = H.Stable);
   Alcotest.(check int) "nothing regressed" 0 (H.regressions [ cyc; wall ])
 
-(* Synthetically injected regressions: a cycle-count jump and a speedup collapse beyond the 25% band must both be
-   flagged, and the changepoint must name the run that jumped. *)
+(* Synthetically injected regressions: a cycle-count jump and a
+   speedup collapse beyond the 25% band must both be flagged, and the
+   changepoint must name the run that jumped. *)
 let injected_regression () =
   let cyc =
     verdict_of "md5/cycles/seq_total"
@@ -121,7 +122,8 @@ let one_cycle () =
     verdict_of "md5/cycles/seq_total"
       [ 1000.; 1000.; 1000.; 1000.; 1000.; 1001. ]
   in
-  Alcotest.(check bool) "+1 cycle regressed" true (up.H.s_verdict = H.Regressed);
+  Alcotest.(check bool) "+1 cycle regressed" true
+    (up.H.s_verdict = H.Regressed);
   Alcotest.(check (option int)) "changepoint is the +1" (Some 5)
     up.H.s_changepoint;
   let down =

@@ -233,7 +233,11 @@ let gen_recording =
     let* bytes = int_bound 4096 in
     return
       (List.concat items
-      @ [ [ (Ring.Merge_begin, lid, inv, 0); (Ring.Merge_end, lid, inv, bytes) ] ])
+      @ [
+          [
+            (Ring.Merge_begin, lid, inv, 0); (Ring.Merge_end, lid, inv, bytes);
+          ];
+        ])
   in
   (* each domain's stream as a list of items: a poison cut falls
      between items, or right after an item's claim *)
