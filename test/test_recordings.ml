@@ -39,10 +39,14 @@ let kind_of_name n =
   | Some k -> k
   | None -> failwith ("unknown event kind " ^ n)
 
+(* dune runtest runs in the test directory; dune exec from the root *)
+let dir =
+  if Sys.file_exists "recordings" then "recordings" else "test/recordings"
+
 (* Attempts and domains come out in file order. *)
 let load name =
   let text =
-    In_channel.with_open_bin (Filename.concat "recordings" (name ^ ".rec"))
+    In_channel.with_open_bin (Filename.concat dir (name ^ ".rec"))
       In_channel.input_all
   in
   let capacity = ref 0 in
