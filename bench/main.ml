@@ -234,38 +234,15 @@ let results_json ~fast ~stages ~artifacts (benches : Harness.Bench_run.t list)
       ("workloads", List (List.map workload benches));
     ]
 
-(* The checked-in baseline (bench/BASELINE.json): deterministic cycles
-   plus median-of-N wall-clock speedups. Cycles never change unless
-   simulated behavior does; wall entries carry the recording host's
-   core count, and the gate only compares them on hosts with at least
-   as many cores. *)
-let baseline_json (benches : Harness.Bench_run.t list) : Telemetry.Json.t =
-  let open Telemetry.Json in
-  Obj
-    [
-      ("schema", Str "dsexpand-bench/5");
-      ( "workloads",
-        List
-          (List.map
-             (fun b ->
-               Obj
-                 [
-                   ("name", Str (bench_name b));
-                   ("cycles", cycles_json b);
-                   ("wall", wall_json b);
-                 ])
-             benches) );
-    ]
-
 (* ------------------------------------------------------------------ *)
-(* Persistent history (`--record` / `--history`)                       *)
+(* History entries (`--record`, `--history`, `--compare`)              *)
 (* ------------------------------------------------------------------ *)
 
 let history_file = "bench/HISTORY.jsonl"
 
 (* Flatten one run into the history's metric-key -> value pairs. Key
    naming carries the analyzer's comparison semantics (see
-   Harness.History): "/cycles/" keys gate tight (deterministic),
+   Harness.History): "/cycles/" keys gate exactly (deterministic),
    "speedup" keys gate loose (host noise), and the critpath digest
    keys are deliberately named so they stay informational — a traced
    run's measured speedup is noisier than the clean wall samples and
@@ -307,131 +284,24 @@ let history_metrics (benches : Harness.Bench_run.t list) :
       cyc @ wall @ crit)
     benches
 
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* This run as one history entry: what --record appends, what
+   --compare gates against the pinned baseline entry, and what
+   --update-baseline pins. *)
+let history_entry ~fast (benches : Harness.Bench_run.t list) :
+    Harness.History.entry =
+  {
+    Harness.History.h_time = Unix.gettimeofday ();
+    h_rev = Harness.History.git_rev ();
+    h_domains = Domain.recommended_domain_count ();
+    h_config = (if fast then "fast" else "full");
+    h_metrics = history_metrics benches;
+  }
 
 let write_json file json =
   let oc = open_out file in
   output_string oc (Telemetry.Json.to_string json);
   output_char oc '\n';
   close_out oc
-
-let update_hint = "hint: `bench --update-baseline` refreshes bench/BASELINE.json"
-
-(* The regression gate, two halves:
-
-   - cycles: every metric present in both the baseline and this run
-     is deterministic, so any growth is a regression; a drop is
-     reported, and `--update-baseline` accepts it;
-   - wall clock: the median-of-N speedup on real domains may fall by
-     at most 35% (hosts are noisy, so this is loose). Wall entries
-     are only comparable on hosts with at least as many cores as the
-     recording host; on smaller hosts they are skipped with a logged
-     reason.
-
-   Returns the number of regressions. Accepts both BENCH_results.json
-   and the reduced baseline file (each has workloads[].name/.cycles,
-   and workloads[].wall since dsexpand-bench/3). A workload or key
-   missing from the baseline is not a failure: it is reported with a
-   one-line hint to refresh the baseline. *)
-let compare_against ~file (benches : Harness.Bench_run.t list) : int =
-  let wall_tolerance = 0.35 in
-  let base = Telemetry.Json.of_string_exn (read_file file) in
-  let base_workloads =
-    match Telemetry.Json.member "workloads" base with
-    | Some (Telemetry.Json.List l) -> l
-    | _ ->
-      Printf.eprintf "%s: no \"workloads\" array\n" file;
-      exit 2
-  in
-  let base_entry name field =
-    List.find_map
-      (fun w ->
-        match Telemetry.Json.member "name" w with
-        | Some (Telemetry.Json.Str n) when n = name ->
-          Telemetry.Json.member field w
-        | _ -> None)
-      base_workloads
-  in
-  let regressions = ref 0 in
-  let stale = ref false in
-  Printf.printf
-    "== regression gate vs %s (cycles exact, wall %+.0f%%) ==\n" file
-    (wall_tolerance *. 100.);
-  List.iter
-    (fun b ->
-      let name = bench_name b in
-      (match base_entry name "cycles" with
-      | None ->
-        stale := true;
-        Printf.printf "%-16s not in baseline, skipped\n" name
-      | Some base_obj ->
-        List.iter
-          (fun (metric, cur) ->
-            match Telemetry.Json.member metric base_obj with
-            | Some (Telemetry.Json.Int bv) ->
-              let delta =
-                if bv = 0 then 0.
-                else (float_of_int cur /. float_of_int bv -. 1.) *. 100.
-              in
-              if cur > bv then incr regressions;
-              Printf.printf "%-16s %-12s %12d -> %12d  %+6.1f%%%s\n" name
-                metric bv cur delta
-                (if cur > bv then "  REGRESSION"
-                 else if cur < bv then "  improved (--update-baseline accepts)"
-                 else "")
-            | _ ->
-              stale := true;
-              Printf.printf "%-16s %-12s not in baseline, skipped\n" name
-                metric)
-          (cycles_of b));
-      match base_entry name "wall" with
-      | None ->
-        stale := true;
-        Printf.printf "%-16s wall         not in baseline, skipped\n" name
-      | Some wall_obj -> (
-        let base_avail =
-          match Telemetry.Json.member "available" wall_obj with
-          | Some (Telemetry.Json.Int a) -> a
-          | _ -> 1
-        in
-        let here = Domexec.Exec.available_domains () in
-        if here < base_avail then
-          Printf.printf
-            "%-16s wall         skipped: host has %d core(s), baseline \
-             recorded on %d\n"
-            name here base_avail
-        else
-          match Telemetry.Json.member "speedup" wall_obj with
-          | Some (Telemetry.Json.Obj kvs) ->
-            List.iter
-              (fun (d, wr) ->
-                let metric = Printf.sprintf "wall@%d" d in
-                match List.assoc_opt (string_of_int d) kvs with
-                | Some (Telemetry.Json.Float bv) ->
-                  let cur = wr.Harness.Bench_run.wr_speedup in
-                  let worse = cur < bv *. (1. -. wall_tolerance) in
-                  if worse then incr regressions;
-                  Printf.printf "%-16s %-12s %11.2fx -> %11.2fx  %+6.1f%%%s\n"
-                    name metric bv cur
-                    ((cur /. bv -. 1.) *. 100.)
-                    (if worse then "  REGRESSION" else "")
-                | _ ->
-                  stale := true;
-                  Printf.printf "%-16s %-12s not in baseline, skipped\n" name
-                    metric)
-              (wall_of b)
-          | _ ->
-            stale := true;
-            Printf.printf "%-16s wall speedups not in baseline, skipped\n"
-              name))
-    benches;
-  if !stale then print_endline update_hint;
-  !regressions
 
 (* Fault-free supervision overhead: the supervised executor may cost
    at most 5% (plus 2 ms of fixed slack, for sub-millisecond loops)
@@ -549,35 +419,37 @@ let () =
   let workloads_for () =
     if fast then [ md5_workload ] else Workloads.Registry.all
   in
-  (* --compare / --write-baseline run only the deterministic cycle
-     metrics: no bechamel, no artifact regeneration *)
+  (* --compare: this run's history entry against the pinned baseline
+     entries in FILE, plus the in-run overhead checks; no bechamel, no
+     artifact regeneration *)
   (match arg_of "--compare" argv with
   | Some file ->
+    let pinned = Harness.History.load ~file in
+    if pinned = [] then begin
+      Printf.eprintf "%s: no baseline entry\n" file;
+      exit 2
+    end;
     let benches = List.map Harness.Bench_run.load (workloads_for ()) in
+    let current = history_entry ~fast benches in
+    let series = Harness.History.against ~pinned current in
+    Printf.printf "== regression gate vs %s ==\n" file;
+    print_string (Harness.History.render (pinned @ [ current ]) series);
     (* explicit lets: OCaml evaluates [+] right-to-left, which would
        print the report sections in reverse *)
-    let cycles_reg = compare_against ~file benches in
     let sup_reg = supervisor_overhead_check benches in
     let ring_reg = domtrace_overhead_check benches in
-    let regressions = cycles_reg + sup_reg + ring_reg in
+    let regressions = Harness.History.regressions series + sup_reg + ring_reg in
     if regressions > 0 then begin
       Printf.printf "%d metric(s) regressed beyond tolerance\n" regressions;
       exit 1
     end
     else begin
-      print_endline "no cycle regressions";
+      print_endline "no regressions";
       exit 0
     end
   | None -> ());
-  (match arg_of "--write-baseline" argv with
-  | Some file ->
-    let benches = List.map Harness.Bench_run.load (workloads_for ()) in
-    write_json file (baseline_json benches);
-    Printf.printf "wrote %s\n" file;
-    exit 0
-  | None -> ());
-  (* --update-baseline: refresh the checked-in baseline in place (the
-     file compare's "not in baseline" hint points at) *)
+  (* --update-baseline: pin this run as the one entry of the baseline
+     file (default: the checked-in bench/BASELINE.json) *)
   if List.mem "--update-baseline" argv then begin
     let file =
       match arg_of "--update-baseline" argv with
@@ -585,7 +457,8 @@ let () =
       | _ -> "bench/BASELINE.json"
     in
     let benches = List.map Harness.Bench_run.load (workloads_for ()) in
-    write_json file (baseline_json benches);
+    let entry = history_entry ~fast benches in
+    write_json file (Harness.History.entry_to_json entry);
     Printf.printf "updated %s\n" file;
     exit 0
   end;
@@ -597,15 +470,7 @@ let () =
       Option.value (arg_of "--history-file" argv) ~default:history_file
     in
     let benches = List.map Harness.Bench_run.load (workloads_for ()) in
-    let entry =
-      {
-        Harness.History.h_time = Unix.gettimeofday ();
-        h_rev = Harness.History.git_rev ();
-        h_domains = Domain.recommended_domain_count ();
-        h_config = (if fast then "fast" else "full");
-        h_metrics = history_metrics benches;
-      }
-    in
+    let entry = history_entry ~fast benches in
     Harness.History.append ~file entry;
     Printf.printf "recorded %d metric(s) to %s (rev %s, config %s)\n"
       (List.length entry.Harness.History.h_metrics)
@@ -656,9 +521,6 @@ let () =
       ~artifacts:(estimates_of artifact_results)
       benches
   in
-  let oc = open_out "BENCH_results.json" in
-  output_string oc (Telemetry.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_results.json" json;
   print_newline ();
   print_endline "wrote BENCH_results.json"

@@ -830,8 +830,13 @@ let run input workload dump_deps report check threads no_opt unselective
   else begin
   let file, src = load_source input workload in
   let prog =
-    Telemetry.Span.wall "phase.parse" (fun () ->
-        Minic.Typecheck.parse_and_check ~file src)
+    try
+      Telemetry.Span.wall "phase.parse" (fun () ->
+          Minic.Typecheck.parse_and_check ~file src)
+    with Minic.Loc.Error (loc, msg) ->
+      (* malformed input is a usage error, reported at its location *)
+      Printf.eprintf "%s: %s\n" (Minic.Loc.to_string loc) msg;
+      exit 2
   in
   let lids = prog.Minic.Ast.parallel_loops in
   if lids = [] then begin

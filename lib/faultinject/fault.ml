@@ -53,12 +53,6 @@ let domain_level (t : t) : bool =
   | Drop_dep_edge | Force_misclassify | Truncate_span _ | Alloc_failure _ ->
     false
 
-let fire_budget (t : t) : int =
-  match t.kind with
-  | Domain_crash n | Domain_stall n | Writelog_corrupt n
-  | Steal_contention n -> max 0 n
-  | Drop_dep_edge | Force_misclassify | Truncate_span _ | Alloc_failure _ -> 0
-
 (* SplitMix-style integer mixer: deterministic seeded index choice. *)
 let mix (seed : int) (bound : int) : int =
   if bound <= 0 then 0

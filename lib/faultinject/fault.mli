@@ -39,10 +39,6 @@ val domain_level : t -> bool
     domain — and every retry — agrees on the target. *)
 val target_chunk : t -> lid:int -> inv:int -> nchunks:int -> int
 
-(** How many times the domain-level fault fires (the [n] payload);
-    0 for pipeline-level kinds. *)
-val fire_budget : t -> int
-
 (** Result of applying a fault to the analysis outputs. *)
 type application = {
   analyses : Privatize.Analyze.result list;

@@ -369,9 +369,6 @@ let sched (b : t) ~(domains : int) : Domexec.Domtrace.Sched_report.report =
 let critpath (b : t) ~(domains : int) : Domexec.Critpath.profile =
   Domexec.Critpath.analyze (fst (traced b ~domains))
 
-let traced_wall_ns (b : t) ~(domains : int) : float =
-  snd (traced b ~domains)
-
 (** The sequential original's deterministic interpreter cycle count —
     the numerator of the critical-path model speedup. *)
 let seq_interp_cycles (b : t) : int =

@@ -128,10 +128,6 @@ val sched : t -> domains:int -> Domexec.Domtrace.Sched_report.report
 (** Critical-path profile of the {!traced} run. *)
 val critpath : t -> domains:int -> Domexec.Critpath.profile
 
-(** Wall time of the {!traced} run (instrumented — use {!wall} for
-    clean timing). *)
-val traced_wall_ns : t -> domains:int -> float
-
 (** Interpreter cycle count of one sequential run of the original
     program (deterministic; memoized). *)
 val seq_interp_cycles : t -> int

@@ -230,6 +230,10 @@ let analyze ?(window = 5) ?(tolerance = default_tolerance)
          | 0 -> compare a.s_key b.s_key
          | c -> c)
 
+let against ~pinned (current : entry) : series list =
+  analyze (pinned @ [ current ])
+  |> List.filter (fun s -> List.mem_assoc s.s_key current.h_metrics)
+
 let regressions (ss : series list) =
   List.length (List.filter (fun s -> s.s_verdict = Regressed) ss)
 

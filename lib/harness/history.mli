@@ -1,9 +1,9 @@
-(** Persistent bench history: an append-only JSONL file
-    ([bench/HISTORY.jsonl], one run per line, schema
-    [dsexpand-bench-history/1]) and a trend/changepoint analyzer over
-    it. [BASELINE.json] pins one snapshot to diff against;
-    the history answers the question that snapshot cannot — did this
-    metric drift across {e runs over time}, and when did it jump?
+(** Persistent bench history and the one regression gate over it.
+    A history is a JSONL file, one run per line, schema
+    [dsexpand-bench-history/1]. [bench/HISTORY.jsonl] is the
+    append-only trend record: did a metric drift across {e runs over
+    time}, and when did it jump? [bench/BASELINE.json] is a history of
+    one pinned entry, the baseline [bench --compare] gates against.
 
     Every entry flattens a bench run into [metric-key -> value]
     pairs. Key naming carries the comparison semantics:
@@ -77,6 +77,13 @@ val analyze :
   ?tolerance:(string -> (float * bool) option) ->
   entry list ->
   series list
+
+(** The regression gate against a pinned baseline: {!analyze} over
+    [pinned] (oldest first) followed by [current], keeping only the
+    keys [current] records. A gated key the pinned entries lack reads
+    [Insufficient], so it is shown but not counted; a key only the
+    pinned entries record is not reported. *)
+val against : pinned:entry list -> entry -> series list
 
 (** Number of [Regressed] series. *)
 val regressions : series list -> int

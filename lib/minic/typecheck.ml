@@ -69,8 +69,6 @@ let builtin_sigs : (string * fun_sig) list =
     ("assert", { fs_ret = Types.Tvoid; fs_args = [ int ]; fs_variadic = false });
   ]
 
-let is_builtin name = List.mem_assoc name builtin_sigs
-
 let make_env (p : program) : env =
   let funs = Hashtbl.create 16 and gvars = Hashtbl.create 16 in
   List.iter (fun (n, s) -> Hashtbl.replace funs n s) builtin_sigs;

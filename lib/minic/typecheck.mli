@@ -37,7 +37,6 @@ type fenv = {
     (malloc/free/printf/...). *)
 val builtin_sigs : (string * fun_sig) list
 
-val is_builtin : string -> bool
 val make_env : Ast.program -> env
 val fenv_of : env -> Ast.fundef -> fenv
 

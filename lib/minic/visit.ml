@@ -154,29 +154,3 @@ let rec map_stmt_exps ~(fe : exp -> exp) ~(flv : lval -> lval) (s : stmt) :
     | Sreturn e -> Sreturn (Option.map fe e)
   in
   { s with skind = k }
-
-(** Rewrite expressions bottom-up everywhere in a statement: [f] is
-    applied to every subexpression after its children. *)
-let rewrite_exps (f : exp -> exp) (s : stmt) : stmt =
-  let rec re (e : exp) : exp =
-    let e =
-      match e with
-      | Const _ | SizeofType _ -> e
-      | SizeofExp a -> SizeofExp (re a)
-      | Lval (aid, lv) -> Lval (aid, rl lv)
-      | Addr lv -> Addr (rl lv)
-      | Unop (op, a) -> Unop (op, re a)
-      | Binop (op, a, b) -> Binop (op, re a, re b)
-      | Cast (t, a) -> Cast (t, re a)
-      | Call (g, args) -> Call (g, List.map re args)
-      | Cond (c, a, b) -> Cond (re c, re a, re b)
-    in
-    f e
-  and rl (lv : lval) : lval =
-    match lv with
-    | Var _ -> lv
-    | Deref e -> Deref (re e)
-    | Index (base, i) -> Index (rl base, re i)
-    | Field (base, fld) -> Field (rl base, fld)
-  in
-  map_stmt_exps ~fe:re ~flv:rl s

@@ -44,7 +44,3 @@ val loop_parts : Ast.stmt -> Ast.exp * Ast.stmt
     lvalue (recursing over substatements). *)
 val map_stmt_exps :
   fe:(Ast.exp -> Ast.exp) -> flv:(Ast.lval -> Ast.lval) -> Ast.stmt -> Ast.stmt
-
-(** Rewrite expressions bottom-up everywhere in a statement: [f] is
-    applied to every subexpression after its children. *)
-val rewrite_exps : (Ast.exp -> Ast.exp) -> Ast.stmt -> Ast.stmt

@@ -8,13 +8,6 @@ let harmonic_mean (xs : float list) : float =
     let n = float_of_int (List.length xs) in
     n /. List.fold_left (fun acc x -> acc +. (1.0 /. x)) 0.0 xs
 
-let geometric_mean (xs : float list) : float =
-  match xs with
-  | [] -> nan
-  | _ ->
-    let n = float_of_int (List.length xs) in
-    exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. n)
-
 (** Render rows as a fixed-width table with a header. *)
 let render ~(header : string list) (rows : string list list) : string =
   let all = header :: rows in
@@ -141,12 +134,6 @@ let heat_summary_table (rows : string list list) : string =
         "copies";
         "mean util";
       ]
-    rows
-
-(** Per-line heatmap detail: one row per attributed cache line. *)
-let heat_lines_table (rows : string list list) : string =
-  render
-    ~header:[ "line"; "touches"; "threads"; "classes"; "copies"; "false sharing" ]
     rows
 
 (** Render an aggregator's counters as a two-column table. *)

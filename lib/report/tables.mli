@@ -2,7 +2,6 @@
     paper reports (harmonic means over benchmarks). *)
 
 val harmonic_mean : float list -> float
-val geometric_mean : float list -> float
 
 (** Render rows as a fixed-width table under a header: first column
     left-aligned, the rest right-aligned. *)
@@ -61,9 +60,6 @@ val layout_table : string list list -> string
     workload, mode, threads, lines, false-sharing lines, copies, mean
     utilization. *)
 val heat_summary_table : string list list -> string
-
-(** Per-line heatmap detail: one row per attributed cache line. *)
-val heat_lines_table : string list list -> string
 
 (** Render an aggregator's counters as a two-column table. *)
 val counters_table : (string * int) list -> string

@@ -32,34 +32,3 @@ type t =
   | Observe of { name : string; value : int }
 
 let clock_name = function Wall -> "wall" | Sim -> "sim"
-
-(** One-object JSON rendering, shared by the JSONL sink. *)
-let to_json (e : t) : Json.t =
-  match e with
-  | Span_begin { name; cat; clock; tid; ts } ->
-    Json.Obj
-      [
-        ("ev", Json.Str "B"); ("name", Json.Str name); ("cat", Json.Str cat);
-        ("clock", Json.Str (clock_name clock)); ("tid", Json.Int tid);
-        ("ts", Json.Int ts);
-      ]
-  | Span_end { name; clock; tid; ts } ->
-    Json.Obj
-      [
-        ("ev", Json.Str "E"); ("name", Json.Str name);
-        ("clock", Json.Str (clock_name clock)); ("tid", Json.Int tid);
-        ("ts", Json.Int ts);
-      ]
-  | Instant { name; cat; clock; tid; ts } ->
-    Json.Obj
-      [
-        ("ev", Json.Str "I"); ("name", Json.Str name); ("cat", Json.Str cat);
-        ("clock", Json.Str (clock_name clock)); ("tid", Json.Int tid);
-        ("ts", Json.Int ts);
-      ]
-  | Count { name; delta } ->
-    Json.Obj
-      [ ("ev", Json.Str "C"); ("name", Json.Str name); ("delta", Json.Int delta) ]
-  | Observe { name; value } ->
-    Json.Obj
-      [ ("ev", Json.Str "O"); ("name", Json.Str name); ("value", Json.Int value) ]

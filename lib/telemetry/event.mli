@@ -21,6 +21,3 @@ type t =
   | Observe of { name : string; value : int }
 
 val clock_name : clock -> string
-
-(** One-object JSON rendering (the JSONL line format). *)
-val to_json : t -> Json.t

@@ -2,7 +2,9 @@
    through the append/load pair, a fault-free (jittery but in-band)
    trend reads stable, a synthetically injected regression is flagged
    with its changepoint, improvements are not punished, and
-   informational metrics are tracked but never gated. *)
+   informational metrics are tracked but never gated. The pinned
+   cases run the gate `bench --compare` runs: a one-entry baseline
+   followed by the current entry, and the committed baseline itself. *)
 
 module H = Harness.History
 
@@ -164,6 +166,69 @@ let rendering () =
   Alcotest.(check bool) "regression named" true (contains "REGRESSED");
   Alcotest.(check bool) "run count shown" true (contains "6 run(s)")
 
+(* The comparison `bench --compare` makes: the pinned baseline entry,
+   then this run's entry. *)
+let pinned base current =
+  H.against ~pinned:[ entry ~t:0.0 base ] (entry ~t:1.0 current)
+
+let verdict_in ss key =
+  match List.find_opt (fun s -> s.H.s_key = key) ss with
+  | Some s -> s.H.s_verdict
+  | None -> Alcotest.failf "%s not reported" key
+
+let pinned_cycles () =
+  let key = "md5/cycles/seq_total" in
+  let v x = verdict_in (pinned [ (key, 7487554.) ] [ (key, x) ]) key in
+  Alcotest.(check bool) "equal cycles stable" true (v 7487554. = H.Stable);
+  Alcotest.(check bool) "+1 cycle regressed" true (v 7487555. = H.Regressed);
+  Alcotest.(check bool) "-1 cycle improved" true (v 7487553. = H.Improved)
+
+(* 30% below the baseline: outside the 25% band (the old compare's 35%
+   band let this pass). *)
+let pinned_wall () =
+  let key = "md5/wall@2/speedup" in
+  let ss = pinned [ (key, 0.917934983579) ] [ (key, 0.917934983579 *. 0.7) ] in
+  Alcotest.(check bool) "30% slower regressed" true
+    (verdict_in ss key = H.Regressed);
+  Alcotest.(check int) "counted" 1 (H.regressions ss)
+
+let pinned_key_sets () =
+  let ss =
+    pinned
+      [ ("md5/cycles/seq_total", 1000.); ("lbm/cycles/seq_total", 5000.) ]
+      [ ("md5/cycles/seq_total", 1000.); ("md5/cycles/new_key", 9.) ]
+  in
+  Alcotest.(check (list string))
+    "only the current entry's keys"
+    [ "md5/cycles/seq_total"; "md5/cycles/new_key" ]
+    (List.map (fun s -> s.H.s_key) ss);
+  Alcotest.(check bool) "gated key absent from baseline is n/a" true
+    (verdict_in ss "md5/cycles/new_key" = H.Insufficient);
+  Alcotest.(check int) "and not counted" 0 (H.regressions ss)
+
+(* The committed baseline: one pinned entry with the 80 values of the
+   8 workloads (8 cycle keys and 2 wall speedups each). Readable from
+   the test directory (dune runtest) or the repository root. *)
+let baseline_file =
+  if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
+  else "../bench/BASELINE.json"
+
+let committed_baseline () =
+  match H.load ~file:baseline_file with
+  | [ e ] ->
+    Alcotest.(check int) "80 metrics" 80 (List.length e.H.h_metrics);
+    Alcotest.(check string) "rev" "5132a62" e.H.h_rev;
+    Alcotest.(check int) "domains" 1 e.H.h_domains;
+    Alcotest.(check string) "config" "full" e.H.h_config;
+    let value key = List.assoc key e.H.h_metrics in
+    Alcotest.(check (float 0.0))
+      "md5 seq_total" 7487554.0
+      (value "md5/cycles/seq_total");
+    Alcotest.(check (float 0.0))
+      "470.lbm par_total@8" 44609085.0
+      (value "470.lbm/cycles/par_total@8")
+  | es -> Alcotest.failf "expected one pinned entry, got %d" (List.length es)
+
 let () =
   Alcotest.run "history"
     [
@@ -184,5 +249,14 @@ let () =
           Alcotest.test_case "improvement not punished" `Quick improvement;
           Alcotest.test_case "informational never gated" `Quick informational;
           Alcotest.test_case "report wording" `Quick rendering;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "cycles exact against the baseline" `Quick
+            pinned_cycles;
+          Alcotest.test_case "wall 30% below regresses" `Quick pinned_wall;
+          Alcotest.test_case "current keys only" `Quick pinned_key_sets;
+          Alcotest.test_case "committed baseline loads" `Quick
+            committed_baseline;
         ] );
     ]

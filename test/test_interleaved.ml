@@ -124,35 +124,6 @@ let bonded_locality_ablation () =
     (Printf.sprintf "bonded (%d) <= interleaved (%d)" bonded inter)
     true (bonded <= inter)
 
-(* The future-work adaptive chooser: falls back to bonded on shapes
-   interleaving rejects, otherwise keeps the cheaper layout. *)
-let adaptive_falls_back_on_recast () =
-  let p, _, r = analyze_first recast_src in
-  let c = Harness.Adaptive.choose p [ r ] in
-  Alcotest.(check bool) "bonded chosen" true (c.Harness.Adaptive.mode = Expand.Plan.Bonded);
-  Alcotest.(check bool) "interleaved was impossible" true
-    (c.Harness.Adaptive.interleaved_cycles = None)
-
-let adaptive_probes_both () =
-  let p, _, r = analyze_first struct_src in
-  let c = Harness.Adaptive.choose p [ r ] in
-  (match c.Harness.Adaptive.interleaved_cycles with
-  | None -> Alcotest.fail "interleaving should be possible here"
-  | Some ic ->
-    (* the chooser must keep the cheaper one *)
-    let kept_cheaper =
-      match c.Harness.Adaptive.mode with
-      | Expand.Plan.Bonded -> c.Harness.Adaptive.bonded_cycles <= ic
-      | Expand.Plan.Interleaved -> ic <= c.Harness.Adaptive.bonded_cycles
-    in
-    Alcotest.(check bool) "kept the cheaper layout" true kept_cheaper);
-  (* and the chosen program still behaves identically *)
-  let _, out0 = Interp.Machine.run_program p in
-  let _, out =
-    run_with_threads c.Harness.Adaptive.result.Expand.Transform.transformed 4
-  in
-  Alcotest.(check string) "output" out0 out
-
 let () =
   Alcotest.run "interleaved"
     [
@@ -167,9 +138,5 @@ let () =
             bonded_handles_recast;
           Alcotest.test_case "locality ablation" `Quick
             bonded_locality_ablation;
-          Alcotest.test_case "adaptive falls back on recast" `Quick
-            adaptive_falls_back_on_recast;
-          Alcotest.test_case "adaptive probes both" `Quick
-            adaptive_probes_both;
         ] );
     ]

@@ -455,19 +455,6 @@ let json_tests =
           Alcotest.(check bool) "nan becomes null" true
             (List.assoc "nan" kvs = Null)
         | _ -> Alcotest.fail "not an object");
-    Alcotest.test_case "jsonl sink emits one parsable line per event" `Quick
-      (fun () ->
-        let js = Telemetry.Jsonl.create () in
-        Telemetry.Sink.with_sink (Telemetry.Jsonl.sink js) (fun () ->
-            Telemetry.Span.count "k" 2;
-            Telemetry.Span.observe "v" 7;
-            Telemetry.Span.sim_instant ~tid:1 ~ts:3 "mark");
-        let lines =
-          Telemetry.Jsonl.contents js |> String.trim
-          |> String.split_on_char '\n'
-        in
-        Alcotest.(check int) "three lines" 3 (List.length lines);
-        List.iter (fun l -> ignore (parse_json l)) lines);
   ]
 
 let () =
