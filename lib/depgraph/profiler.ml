@@ -327,7 +327,7 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
   let cur_iter = ref 0 in
   let cur_inv = ref (-1) in
   let enter_cycles = ref 0 in
-  let hook l ev =
+  let hook l ev i =
     if l = lid then
       match ev with
       | Interp.Machine.Enter ->
@@ -336,7 +336,7 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
         cur_iter := 0;
         g.Graph.invocations <- g.Graph.invocations + 1;
         enter_cycles := st.Interp.Machine.cycles
-      | Interp.Machine.Iter i -> cur_iter := i
+      | Interp.Machine.Iter -> cur_iter := i
       | Interp.Machine.Exit ->
         in_loop := false;
         (* the trailing Iter only ran the failing condition *)

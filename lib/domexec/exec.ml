@@ -119,6 +119,23 @@ let induction_update_aids (prog : Ast.program) =
     prog.Ast.globals;
   (stores, loads)
 
+(* Access ids whose verdict is [Induction], as an aid-indexed table
+   built once per run: the observers consult it on every access, where
+   [Expand.Plan.verdict]'s lookup would allocate an option. Aids past
+   its end (the argument-binding stores each machine load stamps) are
+   never induction accesses. *)
+let induction_table (plan : Expand.Plan.t) : bool array =
+  let verdicts = plan.Expand.Plan.verdicts in
+  let n = Hashtbl.fold (fun aid _ acc -> max acc (aid + 1)) verdicts 0 in
+  let t = Array.make n false in
+  Hashtbl.iter
+    (fun aid v ->
+      match v with Privatize.Classify.Induction -> t.(aid) <- true | _ -> ())
+    verdicts;
+  t
+
+let is_induction t aid = aid < Array.length t && t.(aid)
+
 (* Break statements binding to this loop (not to an inner one). *)
 let rec has_toplevel_break (s : Ast.stmt) =
   match s.Ast.skind with
@@ -191,7 +208,7 @@ type pre_active = {
   pa_rand0 : int64;
 }
 
-let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
+let prepass ~(prog : Ast.program) ~(induction : bool array)
     ~(lids : Ast.lid list) ~(domains : int) : prepass =
   let decisions = Hashtbl.create 8 in
   let invs = Hashtbl.create 16 in
@@ -219,10 +236,11 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
   let st = m.Interp.Machine.st in
   Interp.Machine.set_global_int st Expand.Names.nthreads domains;
   let active : pre_active option ref = ref None in
+  (* the active loop's lid always has a decision *)
   let live pa =
-    match Hashtbl.find_opt decisions pa.pa_lid with
-    | Some Distributed -> true
-    | _ -> false
+    match Hashtbl.find decisions pa.pa_lid with
+    | Distributed -> true
+    | Replicated _ -> false
   in
   let on_store pa ~is_step addr size =
     let g0 = addr lsr 3 and g1 = (addr + size - 1) lsr 3 in
@@ -256,8 +274,7 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
           else begin
             let ls = Hashtbl.find statics pa.pa_lid in
             let is_step = Hashtbl.mem ls.ls_step_aids aid in
-            match Expand.Plan.verdict plan aid with
-            | Privatize.Classify.Induction -> (
+            if is_induction induction aid then
               match kind with
               | Visit.Store ->
                 if is_step then Hashtbl.replace pa.pa_stepv addr ()
@@ -268,11 +285,11 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
                     "induction store outside the x = x +/- c shape"
               | Visit.Load ->
                 if Hashtbl.mem upd_loads aid then ()
-                else Hashtbl.replace pa.pa_otherload addr ())
-            | _ -> (
+                else Hashtbl.replace pa.pa_otherload addr ()
+            else
               match kind with
               | Visit.Store -> on_store pa ~is_step addr size
-              | Visit.Load -> on_load pa ~is_step addr size)
+              | Visit.Load -> on_load pa ~is_step addr size
           end
         | _ -> ());
   st.Interp.Machine.bulk_hook <-
@@ -303,7 +320,7 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
         | None -> ());
   st.Interp.Machine.loop_hook <-
     Some
-      (fun lid ev ->
+      (fun lid ev i ->
         if Hashtbl.mem decisions lid then
           match ev with
           | Interp.Machine.Enter -> (
@@ -324,7 +341,7 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
                     pa_otherload = Hashtbl.create 4;
                     pa_rand0 = st.Interp.Machine.rand_state;
                   })
-          | Interp.Machine.Iter i -> (
+          | Interp.Machine.Iter -> (
             match !active with
             | Some pa when pa.pa_lid = lid -> pa.pa_iter <- i
             | _ -> ())
@@ -376,10 +393,12 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
 (* Write logs                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A log entry is the address and length (int32 LE each) followed by
+   the stored bytes, copied straight from the arena. *)
 let log_store buf mem addr size =
   Buffer.add_int32_le buf (Int32.of_int addr);
   Buffer.add_int32_le buf (Int32.of_int size);
-  Buffer.add_string buf (Interp.Memory.read_raw mem addr size)
+  Interp.Memory.add_to_buffer mem buf addr size
 
 let apply_log mem (s : string) =
   let n = String.length s in
@@ -387,7 +406,7 @@ let apply_log mem (s : string) =
   while !pos < n do
     let addr = Int32.to_int (String.get_int32_le s !pos) in
     let len = Int32.to_int (String.get_int32_le s (!pos + 4)) in
-    Interp.Memory.write_raw mem addr (String.sub s (!pos + 8) len);
+    Interp.Memory.blit_from_string mem s (!pos + 8) ~dst:addr ~len;
     pos := !pos + 8 + len
   done
 
@@ -527,7 +546,8 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     }
   | None ->
     let n = requested in
-    let pp = prepass ~prog ~plan ~lids ~domains:n in
+    let induction = induction_table plan in
+    let pp = prepass ~prog ~induction ~lids ~domains:n in
     (* Shared slots for every distributed invocation. *)
     let slots : (Ast.lid * int, slot) Hashtbl.t = Hashtbl.create 16 in
     let max_own = ref 1 in
@@ -764,11 +784,8 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                   addr >= st.Interp.Machine.stack_base
                   && addr < st.Interp.Machine.stack_limit
                 then ()
-                else if
-                  match Expand.Plan.verdict plan aid with
-                  | Privatize.Classify.Induction -> true
-                  | _ -> false
-                then () (* delta-merged (body) or replicated (step) *)
+                else if is_induction induction aid then
+                  () (* delta-merged (body) or replicated (step) *)
                 else log_store da.da_log st.Interp.Machine.mem addr size
               | Visit.Load -> ())
             | _ -> ());
@@ -785,7 +802,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
             | _ -> ());
       st.Interp.Machine.loop_hook <-
         Some
-          (fun lid ev ->
+          (fun lid ev i ->
             (* the supervisor's cancel point: every domain passes here
                on every loop event, so a watchdog abort is seen in
                bounded time (straight-line code between loop events is
@@ -831,7 +848,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                             Buffer.length st.Interp.Machine.out;
                           da_pre = pre;
                         }))
-              | Interp.Machine.Iter i -> (
+              | Interp.Machine.Iter -> (
                 match !active with
                 | None -> ()
                 | Some da ->

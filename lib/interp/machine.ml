@@ -13,14 +13,23 @@
       {e loop hook} — the parallel simulator's scheduler;
     - cycle and instruction-class counters implement the cost model.
 
+    Each expression is compiled by its static type, so values need no
+    tag and most need no box: [char]/[short]/[int] and pointer
+    expressions become [unit -> int] closures returning an immediate,
+    sign-extended OCaml int; conditions become [unit -> bool]; [long]
+    and [float]/[double] expressions return one [int64] or [float] box
+    per value. An operation charges its cycles before it evaluates its
+    operands, and evaluates them in the order the cost model has always
+    seen (right before left, except that pointer arithmetic evaluates
+    the scaled integer first), because DOACROSS post/wait positions are
+    cycle offsets within an iteration.
+
     All of C that the frontend accepts is supported; the interesting
     cases are byte-accurate struct layout, pointer arithmetic with
     scaling, 32-bit wraparound on [int] arithmetic, and type recasting
     through memory (bzip2's short/int [zptr] idiom). *)
 
 open Minic
-
-type value = Vint of int64 | Vfloat of float
 
 type stats = {
   mutable n_loads : int;
@@ -41,7 +50,7 @@ let empty_stats () =
     n_allocs = 0;
   }
 
-type loop_event = Enter | Iter of int | Exit
+type loop_event = Enter | Iter | Exit
 
 type state = {
   mem : Memory.t;
@@ -55,7 +64,7 @@ type state = {
   stats : stats;
   mutable observer : (Ast.aid -> Visit.access_kind -> int -> int -> unit) option;
   mutable access_extra : (Visit.access_kind -> int -> int -> int) option;
-  mutable loop_hook : (Ast.lid -> loop_event -> unit) option;
+  mutable loop_hook : (Ast.lid -> loop_event -> int -> unit) option;
   mutable free_hook : (int -> int -> unit) option;
       (** (base, size) on free/realloc: a freed block's bytes carry no
           dependences into their next allocation (a thread-safe
@@ -69,7 +78,7 @@ type state = {
   mutable rand_state : int64;
   mutable fuel : int;  (** decremented per loop iteration and call *)
   mutable iter_skip : bool;
-      (** when set by a loop hook at [Iter i], the body of that
+      (** when set by a loop hook at [Iter], the body of that
           iteration is skipped (condition and step still run); the
           domain executor uses this to walk a distributed loop's
           traversal while executing only the iterations it owns *)
@@ -86,19 +95,14 @@ let runtime_error fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
 exception Break_exc
 exception Continue_exc
-exception Return_exc of value
+
+(* A returning function leaves its value in the machine's return slot
+   (see [ret_slot]) before raising, so the exception carries nothing. *)
+exception Return_exc
 
 (* ------------------------------------------------------------------ *)
 (* Value helpers                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let as_int = function
-  | Vint v -> v
-  | Vfloat f -> runtime_error "expected an integer value, got float %g" f
-
-let as_float = function Vfloat f -> f | Vint v -> Int64.to_float v
-
-let truthy = function Vint v -> v <> 0L | Vfloat f -> f <> 0.0
 
 (** Sign-extending truncation to the width of an integer kind; MiniC
     [int] arithmetic wraps at 32 bits like the C it models. *)
@@ -109,10 +113,24 @@ let trunc_ikind (ik : Types.ikind) (v : int64) : int64 =
   | Types.IShort -> Int64.shift_right (Int64.shift_left v 48) 48
   | Types.IChar -> Int64.shift_right (Int64.shift_left v 56) 56
 
+(* The same on immediate (63-bit) ints. *)
+let sext32 v = (v lsl 31) asr 31
+let sext16 v = (v lsl 47) asr 47
+let sext8 v = (v lsl 55) asr 55
+
 let round_float_kind (fk : Types.fkind) (f : float) : float =
   match fk with
   | Types.FDouble -> f
   | Types.FFloat -> Int32.float_of_bits (Int32.bits_of_float f)
+
+(* Pointers are immediate ints: a [long] outside the OCaml int range
+   has no pointer representation, so converting it is an error rather
+   than a silent loss of bit 63. *)
+let ptr_of_int64 (v : int64) : int =
+  let p = Int64.to_int v in
+  if Int64.of_int p <> v then
+    runtime_error "long %Ld converted to a pointer does not fit in 63 bits" v;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -121,7 +139,10 @@ let round_float_kind (fk : Types.fkind) (f : float) : float =
 let stack_size = 4 lsl 20
 
 let make_state () : state =
-  let mem = Memory.create ~initial:(8 lsl 20) () in
+  (* the stack plus 1 MB covers most programs' data; [Memory.ensure]
+     doubles the arena for the rest, and addresses depend only on the
+     allocation order, never on the arena's capacity *)
+  let mem = Memory.create ~initial:(stack_size + (1 lsl 20)) () in
   (* the simulated call stack is machinery, not program data:
      keep it out of the heap/static footprint that Figure 14 measures *)
   let stack_base = Memory.alloc ~track:false mem stack_size in
@@ -154,10 +175,9 @@ let global_addr st name =
 (** Poke/peek globals from the host (the parallel simulator uses this
     to set [__tid] between iterations). *)
 let set_global_int st name (v : int) =
-  Memory.store st.mem (global_addr st name) 4 (Int64.of_int v)
+  Memory.store_int st.mem (global_addr st name) 4 v
 
-let get_global_int st name =
-  Int64.to_int (Memory.load st.mem (global_addr st name) 4)
+let get_global_int st name = Memory.load_int st.mem (global_addr st name) 4
 
 let output st = Buffer.contents st.out
 
@@ -200,6 +220,14 @@ let do_store_reg st aid addr size =
 
 let charge st c = st.cycles <- st.cycles + c
 
+let arith1 st =
+  st.cycles <- st.cycles + Cost.arith;
+  st.stats.n_arith <- st.stats.n_arith + 1
+
+let branch1 st =
+  st.cycles <- st.cycles + Cost.branch;
+  st.stats.n_branches <- st.stats.n_branches + 1
+
 let burn_fuel st =
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then runtime_error "fuel exhausted (infinite loop?)"
@@ -208,17 +236,32 @@ let burn_fuel st =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The machine's one return slot. A callee writes the field of its
+   return type's kind just before raising [Return_exc], and the caller
+   reads it right after catching, before anything else runs, so one
+   slot serves every (recursive) call. *)
+type ret_slot = {
+  mutable r_int : int;
+  mutable r_long : int64;
+  mutable r_float : float;
+}
+
+(* The representation of a scalar value, from its static type. *)
+type kind = Kint | Klong | Kfloat
+
 type cfun = {
   cf_frame_size : int;
-  cf_formals : (int * Types.ty * Ast.aid) list;
-      (** frame offset, type, and the synthetic access id of the
-          argument-binding store. Binding an argument writes the
-          formal's stack slot and must be visible to the dependence
+  cf_formals : (int * Ast.aid * int) array;
+      (** frame offset, the synthetic access id of the
+          argument-binding store, and width. Binding an argument writes
+          the formal's stack slot and must be visible to the dependence
           profiler like any other store — otherwise a stale local of a
           previously-popped frame at the same address would appear to
           flow into the formal. *)
-  cf_body : unit -> unit;  (** raises [Return_exc] to produce a value *)
-  cf_ret : Types.ty;
+  cf_body : unit -> unit;
+      (** raises [Return_exc] after filling the return slot *)
+  cf_ret_kind : kind option;  (** [None] for void functions *)
+  cf_ret : ret_slot;  (** the machine's return slot *)
 }
 
 type t = {
@@ -228,7 +271,7 @@ type t = {
   mutable inits : (unit -> unit) list;  (** global initializers, in order *)
 }
 
-let scalar_width _comps loc (t : Types.ty) : int =
+let scalar_width loc (t : Types.ty) : int =
   match t with
   | Types.Tint ik -> Types.ikind_size ik
   | Types.Tfloat fk -> Types.fkind_size fk
@@ -236,23 +279,49 @@ let scalar_width _comps loc (t : Types.ty) : int =
   | t ->
     Loc.error loc "expected a scalar type, got %s" (Types.show_ty t)
 
-(** Store a scalar [value] of static type [t] at [addr], converting the
-    value to the destination representation first. *)
-let store_scalar st _comps loc (t : Types.ty) addr (v : value) =
+let kind_of loc (t : Types.ty) : kind =
+  match Types.decay t with
+  | Types.Tint Types.ILong -> Klong
+  | Types.Tint _ | Types.Tptr _ -> Kint
+  | Types.Tfloat _ -> Kfloat
+  | t -> Loc.error loc "expected a scalar type, got %s" (Types.show_ty t)
+
+(* Storing a value of each kind into a scalar slot of type [t] (an
+   argument, a call result, an assignment), converting it to the slot's
+   representation first; [fun addr v -> ...]. *)
+let int_store st loc (t : Types.ty) : int -> int -> unit =
   match t with
-  | Types.Tint ik -> Memory.store st.mem addr (Types.ikind_size ik)
-      (match v with Vint i -> i | Vfloat f -> Int64.of_float f)
+  | Types.Tint ik ->
+    let w = Types.ikind_size ik in
+    fun addr v -> Memory.store_int st.mem addr w v
   | Types.Tfloat fk ->
-    Memory.store_float st.mem addr (Types.fkind_size fk) (as_float v)
-  | Types.Tptr _ -> Memory.store st.mem addr 8 (as_int v)
+    let w = Types.fkind_size fk in
+    fun addr v -> Memory.store_float st.mem addr w (Float.of_int v)
+  | Types.Tptr _ -> fun addr v -> Memory.store_int st.mem addr 8 v
   | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
 
-let load_scalar st loc (t : Types.ty) addr : value =
+let long_store st loc (t : Types.ty) : int -> int64 -> unit =
   match t with
-  | Types.Tint ik -> Vint (Memory.load st.mem addr (Types.ikind_size ik))
-  | Types.Tfloat fk -> Vfloat (Memory.load_float st.mem addr (Types.fkind_size fk))
-  | Types.Tptr _ -> Vint (Memory.load st.mem addr 8)
-  | t -> Loc.error loc "cannot load from type %s" (Types.show_ty t)
+  | Types.Tint ik ->
+    let w = Types.ikind_size ik in
+    fun addr v -> Memory.store st.mem addr w v
+  | Types.Tfloat fk ->
+    let w = Types.fkind_size fk in
+    fun addr v -> Memory.store_float st.mem addr w (Int64.to_float v)
+  | Types.Tptr _ -> fun addr v -> Memory.store st.mem addr 8 v
+  | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
+
+let float_store st loc (t : Types.ty) : int -> float -> unit =
+  match t with
+  | Types.Tint ik ->
+    let w = Types.ikind_size ik in
+    fun addr f -> Memory.store st.mem addr w (Int64.of_float f)
+  | Types.Tfloat fk ->
+    let w = Types.fkind_size fk in
+    fun addr f -> Memory.store_float st.mem addr w f
+  | Types.Tptr _ ->
+    fun _ f -> runtime_error "expected an integer value, got float %g" f
+  | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
 
 type ctx = {
   m : t;
@@ -260,29 +329,22 @@ type ctx = {
   slots : (string, int) Hashtbl.t;  (** local name -> frame offset *)
   regs : (string, unit) Hashtbl.t;
       (** register-allocatable locals: scalar, address never taken *)
+  ret : ret_slot;
 }
 
 let comps ctx = ctx.m.prog.Ast.comps
+let ty ctx e = Types.decay (Typecheck.exp_ty ctx.fe e)
 
-(** Coerce a compiled value from type [src] to type [dst]. *)
-let coerce loc ~(src : Types.ty) ~(dst : Types.ty) (c : unit -> value) :
-    unit -> value =
-  match (Types.decay src, Types.decay dst) with
-  | a, b when Types.equal_ty a b -> c
-  | (Types.Tint _ | Types.Tptr _), Types.Tint ik ->
-    fun () -> Vint (trunc_ikind ik (as_int (c ())))
-  | Types.Tfloat _, Types.Tint ik ->
-    fun () ->
-      let f = as_float (c ()) in
-      if Float.is_nan f then Vint 0L
-      else Vint (trunc_ikind ik (Int64.of_float f))
-  | Types.Tint _, Types.Tfloat fk ->
-    fun () -> Vfloat (round_float_kind fk (Int64.to_float (as_int (c ()))))
-  | Types.Tfloat _, Types.Tfloat fk ->
-    fun () -> Vfloat (round_float_kind fk (as_float (c ())))
-  | (Types.Tptr _ | Types.Tint _), Types.Tptr _ -> c
-  | a, b ->
-    Loc.error loc "cannot convert %s to %s" (Types.show_ty a) (Types.show_ty b)
+(* __tid / __nthreads model values the OpenMP runtime hands each thread
+   in a register, so their loads are register-priced too *)
+let load_in_reg ctx (lv : Ast.lval) =
+  match lv with
+  | Ast.Var ("__tid" | "__nthreads") -> true
+  | Ast.Var x -> Hashtbl.mem ctx.regs x
+  | _ -> false
+
+let store_in_reg ctx (lv : Ast.lval) =
+  match lv with Ast.Var x -> Hashtbl.mem ctx.regs x | _ -> false
 
 (** Bottom-up constant folding at compile time: integer arithmetic
     over literals and [sizeof] collapses to a literal, as any real
@@ -329,191 +391,170 @@ let const_pow2 = function
   | Ast.Const (Ast.Cint (v, _)) -> v > 0L && Int64.logand v (Int64.pred v) = 0L
   | _ -> false
 
-let rec compile_exp (ctx : ctx) (e : Ast.exp) : unit -> value =
+let int_op_cost op a b =
+  match op with
+  | Ast.Mul when const_pow2 a || const_pow2 b ->
+    Cost.arith (* strength-reduced to a shift *)
+  | Ast.Mul -> Cost.mul
+  | Ast.Div | Ast.Mod -> Cost.div
+  | _ -> Cost.arith
+
+let cmp_test (op : Ast.binop) : int -> bool =
+  match op with
+  | Ast.Lt -> fun c -> c < 0
+  | Ast.Gt -> fun c -> c > 0
+  | Ast.Le -> fun c -> c <= 0
+  | Ast.Ge -> fun c -> c >= 0
+  | Ast.Eq -> fun c -> c = 0
+  | Ast.Ne -> fun c -> c <> 0
+  | _ -> assert false
+
+let not_this_kind loc what (e : Ast.exp) =
+  Loc.error loc "%s compiler given %s" what (Ast.show_exp e)
+
+(* The four compilers below cover every expression form of their
+   result type; the [*_of] conversions between them implement C's
+   conversions (casts, assignments, returns, conditional arms). *)
+
+(** [char]/[short]/[int] and pointer expressions. *)
+let rec compile_int (ctx : ctx) (e : Ast.exp) : unit -> int =
   let st = ctx.m.st in
   let loc = Loc.dummy in
   let e = fold_constants (comps ctx) e in
   match e with
   | Ast.Const (Cint (v, ik)) ->
-    let v = Vint (trunc_ikind ik v) in
-    fun () -> v
-  | Ast.Const (Cfloat (f, fk)) ->
-    let v = Vfloat (round_float_kind fk f) in
+    let v = Int64.to_int (trunc_ikind ik v) in
     fun () -> v
   | Ast.Const (Cstr s) ->
     let addr = Memory.write_cstring st.mem s in
-    fun () -> Vint (Int64.of_int addr)
-  | Ast.Lval (aid, lv) ->
-    let t = Typecheck.lval_ty ctx.fe lv in
-    let width = scalar_width (comps ctx) loc t in
-    let addr_c = compile_addr ctx lv in
-    (* __tid / __nthreads model values the OpenMP runtime hands each
-       thread in a register, so their loads are register-priced too *)
-    let in_reg =
-      match lv with
-      | Ast.Var ("__tid" | "__nthreads") -> true
-      | Ast.Var x -> Hashtbl.mem ctx.regs x
-      | _ -> false
-    in
-    if in_reg then fun () ->
-      let addr = addr_c () in
-      do_load_reg st aid addr width;
-      load_scalar st loc t addr
-    else fun () ->
-      let addr = addr_c () in
-      do_load st aid addr width;
-      load_scalar st loc t addr
-  | Ast.Addr lv ->
-    let addr_c = compile_addr ctx lv in
-    fun () -> Vint (Int64.of_int (addr_c ()))
-  | Ast.Unop (op, a) -> compile_unop ctx op a
-  | Ast.Binop (op, a, b) -> compile_binop ctx op a b e
-  | Ast.Cast (t, a) ->
-    let ta = Typecheck.exp_ty ctx.fe a in
-    coerce loc ~src:ta ~dst:t (compile_exp ctx a)
-  | Ast.SizeofType t ->
-    let v = Vint (Int64.of_int (Types.sizeof (comps ctx) loc t)) in
-    fun () -> v
+    fun () -> addr
+  | Ast.Lval (aid, lv) -> compile_load ctx aid lv Memory.load_int
+  | Ast.Addr lv -> compile_addr ctx lv
+  | Ast.Unop (Ast.Lognot, _)
+  | Ast.Binop ((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne), _, _)
+  | Ast.Binop ((Ast.Land | Ast.Lor), _, _) ->
+    let c = compile_cond ctx e in
+    fun () -> if c () then 1 else 0
+  | Ast.Unop (op, a) -> (
+    let ca = compile_int ctx a in
+    match (op, ty ctx a) with
+    | Ast.Neg, Types.Tint _ ->
+      fun () ->
+        arith1 st;
+        sext32 (-ca ())
+    | Ast.Bitnot, Types.Tint _ ->
+      fun () ->
+        arith1 st;
+        sext32 (lnot (ca ()))
+    | _, t -> Loc.error loc "invalid unary operand type %s" (Types.show_ty t))
+  | Ast.Binop (op, a, b) -> compile_int_binop ctx op a b
+  | Ast.Cast (t, a) -> int_of ctx ~dst:t a
+  | Ast.Cond (c, a, b) ->
+    let t = ty ctx e in
+    compile_select ctx c (int_of ctx ~dst:t) a b
   | Ast.SizeofExp _ -> Loc.error loc "sizeof(expr) survived normalization"
   | Ast.Call (f, _) ->
     Loc.error loc "expression-level call to '%s' survived normalization" f
-  | Ast.Cond (c, a, b) ->
-    let t = Typecheck.exp_ty ctx.fe e in
-    let cc = compile_exp ctx c in
-    let ca = coerce loc ~src:(Typecheck.exp_ty ctx.fe a) ~dst:t (compile_exp ctx a) in
-    let cb = coerce loc ~src:(Typecheck.exp_ty ctx.fe b) ~dst:t (compile_exp ctx b) in
-    fun () ->
-      charge st Cost.branch;
-      st.stats.n_branches <- st.stats.n_branches + 1;
-      if truthy (cc ()) then ca () else cb ()
+  | Ast.Const (Cfloat _) | Ast.SizeofType _ -> not_this_kind loc "int" e
 
-and compile_unop ctx op a : unit -> value =
-  let st = ctx.m.st in
-  let ca = compile_exp ctx a in
-  let ta = Typecheck.exp_ty ctx.fe a in
-  match (op, ta) with
-  | Ast.Neg, Types.Tfloat _ ->
-    fun () ->
-      charge st Cost.float_arith;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      Vfloat (-.as_float (ca ()))
-  | Ast.Neg, Types.Tint ik ->
-    let ik = Types.promote_ikind ik in
-    fun () ->
-      charge st Cost.arith;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      Vint (trunc_ikind ik (Int64.neg (as_int (ca ()))))
-  | Ast.Lognot, _ ->
-    fun () ->
-      charge st Cost.arith;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      Vint (if truthy (ca ()) then 0L else 1L)
-  | Ast.Bitnot, Types.Tint ik ->
-    let ik = Types.promote_ikind ik in
-    fun () ->
-      charge st Cost.arith;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      Vint (trunc_ikind ik (Int64.lognot (as_int (ca ()))))
-  | _, t ->
-    Loc.error Loc.dummy "invalid unary operand type %s" (Types.show_ty t)
-
-and compile_binop ctx op a b whole : unit -> value =
+and compile_int_binop ctx op a b : unit -> int =
   let st = ctx.m.st in
   let loc = Loc.dummy in
-  let ta = Types.decay (Typecheck.exp_ty ctx.fe a) in
-  let tb = Types.decay (Typecheck.exp_ty ctx.fe b) in
-  let ca = compile_exp ctx a and cb = compile_exp ctx b in
+  let ta = ty ctx a and tb = ty ctx b in
   let elem_size t = Types.sizeof (comps ctx) loc (Types.pointee loc t) in
-  let arith1 () =
-    charge st Cost.arith;
-    st.stats.n_arith <- st.stats.n_arith + 1
-  in
   match op with
-  | Ast.Land ->
-    fun () ->
-      charge st Cost.branch;
-      st.stats.n_branches <- st.stats.n_branches + 1;
-      Vint (if truthy (ca ()) && truthy (cb ()) then 1L else 0L)
-  | Ast.Lor ->
-    fun () ->
-      charge st Cost.branch;
-      st.stats.n_branches <- st.stats.n_branches + 1;
-      Vint (if truthy (ca ()) || truthy (cb ()) then 1L else 0L)
   | Ast.Add when Types.is_pointer ta ->
-    let sz = Int64.of_int (elem_size ta) in
+    let sz = elem_size ta in
+    let cp = compile_int ctx a in
+    let ci = int_index ctx b in
     fun () ->
-      arith1 ();
-      Vint (Int64.add (as_int (ca ())) (Int64.mul (as_int (cb ())) sz))
+      arith1 st;
+      let i = ci () in
+      cp () + (i * sz)
   | Ast.Add when Types.is_pointer tb ->
-    let sz = Int64.of_int (elem_size tb) in
+    let sz = elem_size tb in
+    let ci = int_index ctx a in
+    let cp = compile_int ctx b in
     fun () ->
-      arith1 ();
-      Vint (Int64.add (as_int (cb ())) (Int64.mul (as_int (ca ())) sz))
-  | Ast.Sub when Types.is_pointer ta && Types.is_pointer tb ->
-    let sz = Int64.of_int (elem_size ta) in
+      arith1 st;
+      let i = ci () in
+      cp () + (i * sz)
+  | Ast.Sub when Types.is_pointer ta && not (Types.is_pointer tb) ->
+    let sz = elem_size ta in
+    let cp = compile_int ctx a in
+    let ci = int_index ctx b in
     fun () ->
-      arith1 ();
-      Vint (Int64.div (Int64.sub (as_int (ca ())) (as_int (cb ()))) sz)
-  | Ast.Sub when Types.is_pointer ta ->
-    let sz = Int64.of_int (elem_size ta) in
-    fun () ->
-      arith1 ();
-      Vint (Int64.sub (as_int (ca ())) (Int64.mul (as_int (cb ())) sz))
-  | Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne ->
-    let cmp : value -> value -> int =
-      if Types.is_float ta || Types.is_float tb then fun x y ->
-        Float.compare (as_float x) (as_float y)
-      else fun x y -> Int64.compare (as_int x) (as_int y)
-    in
-    let test =
-      match op with
-      | Ast.Lt -> fun c -> c < 0
-      | Ast.Gt -> fun c -> c > 0
-      | Ast.Le -> fun c -> c <= 0
-      | Ast.Ge -> fun c -> c >= 0
-      | Ast.Eq -> fun c -> c = 0
-      | Ast.Ne -> fun c -> c <> 0
-      | _ -> assert false
-    in
-    fun () ->
-      arith1 ();
-      Vint (if test (cmp (ca ()) (cb ())) then 1L else 0L)
-  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div
-    when Types.is_float ta || Types.is_float tb -> (
-    let fk =
-      match Typecheck.exp_ty ctx.fe whole with
-      | Types.Tfloat fk -> fk
-      | t -> Loc.error loc "float op with non-float type %s" (Types.show_ty t)
-    in
-    let cost = if op = Ast.Div then Cost.float_div else Cost.float_arith in
-    let f : float -> float -> float =
-      match op with
-      | Ast.Add -> ( +. )
-      | Ast.Sub -> ( -. )
-      | Ast.Mul -> ( *. )
-      | Ast.Div -> ( /. )
-      | _ -> assert false
-    in
-    fun () ->
-      charge st cost;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      Vfloat (round_float_kind fk (f (as_float (ca ())) (as_float (cb ())))))
+      arith1 st;
+      let i = ci () in
+      cp () - (i * sz)
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Shl | Ast.Shr
   | Ast.Band | Ast.Bor | Ast.Bxor ->
-    let ik =
-      match Typecheck.exp_ty ctx.fe whole with
-      | Types.Tint ik -> ik
-      | t -> Loc.error loc "integer op with non-int type %s" (Types.show_ty t)
-    in
-    let bits = 8 * Types.ikind_size ik in
-    let cost =
+    (* both operands are char/short/int, so the result is an int *)
+    let ca = compile_int ctx a in
+    let cb = compile_int ctx b in
+    let cost = int_op_cost op a b in
+    let f : int -> int -> int =
       match op with
-      | Ast.Mul when const_pow2 a || const_pow2 b ->
-        Cost.arith (* strength-reduced to a shift *)
-      | Ast.Mul -> Cost.mul
-      | Ast.Div | Ast.Mod -> Cost.div
-      | _ -> Cost.arith
+      | Ast.Add -> ( + )
+      | Ast.Sub -> ( - )
+      | Ast.Mul -> ( * )
+      | Ast.Div ->
+        fun x y -> if y = 0 then runtime_error "division by zero" else x / y
+      | Ast.Mod ->
+        fun x y -> if y = 0 then runtime_error "modulo by zero" else x mod y
+      | Ast.Shl -> fun x y -> x lsl (y land 31)
+      | Ast.Shr -> fun x y -> x asr (y land 31)
+      | Ast.Band -> ( land )
+      | Ast.Bor -> ( lor )
+      | Ast.Bxor -> ( lxor )
+      | _ -> assert false
     in
+    fun () ->
+      st.cycles <- st.cycles + cost;
+      st.stats.n_arith <- st.stats.n_arith + 1;
+      let y = cb () in
+      sext32 (f (ca ()) y)
+  | _ -> not_this_kind loc "int" (Ast.Binop (op, a, b))
+
+(** [long] expressions. *)
+and compile_long (ctx : ctx) (e : Ast.exp) : unit -> int64 =
+  let st = ctx.m.st in
+  let loc = Loc.dummy in
+  let e = fold_constants (comps ctx) e in
+  match e with
+  | Ast.Const (Cint (v, ik)) ->
+    let v = trunc_ikind ik v in
+    fun () -> v
+  | Ast.Lval (aid, lv) -> compile_load ctx aid lv Memory.load
+  | Ast.Unop (op, a) -> (
+    let ca = compile_long ctx a in
+    match (op, ty ctx a) with
+    | Ast.Neg, Types.Tint _ ->
+      fun () ->
+        arith1 st;
+        Int64.neg (ca ())
+    | Ast.Bitnot, Types.Tint _ ->
+      fun () ->
+        arith1 st;
+        Int64.lognot (ca ())
+    | _, t -> Loc.error loc "invalid unary operand type %s" (Types.show_ty t))
+  | Ast.Binop (Ast.Sub, a, b)
+    when Types.is_pointer (ty ctx a) && Types.is_pointer (ty ctx b) ->
+    let sz = Types.sizeof (comps ctx) loc (Types.pointee loc (ty ctx a)) in
+    let ca = compile_int ctx a in
+    let cb = compile_int ctx b in
+    fun () ->
+      arith1 st;
+      let y = cb () in
+      Int64.of_int ((ca () - y) / sz)
+  | Ast.Binop
+      ( (( Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Shl | Ast.Shr
+         | Ast.Band | Ast.Bor | Ast.Bxor ) as op),
+        a,
+        b ) -> (
+    let ca = long_operand ctx a in
+    let cb = long_operand ctx b in
+    let cost = int_op_cost op a b in
     let f : int64 -> int64 -> int64 =
       match op with
       | Ast.Add -> Int64.add
@@ -525,18 +566,262 @@ and compile_binop ctx op a b whole : unit -> value =
       | Ast.Mod ->
         fun x y ->
           if y = 0L then runtime_error "modulo by zero" else Int64.rem x y
-      | Ast.Shl -> fun x y -> Int64.shift_left x (Int64.to_int y land (bits - 1))
-      | Ast.Shr ->
-        fun x y -> Int64.shift_right x (Int64.to_int y land (bits - 1))
+      | Ast.Shl -> fun x y -> Int64.shift_left x (Int64.to_int y land 63)
+      | Ast.Shr -> fun x y -> Int64.shift_right x (Int64.to_int y land 63)
       | Ast.Band -> Int64.logand
       | Ast.Bor -> Int64.logor
       | Ast.Bxor -> Int64.logxor
       | _ -> assert false
     in
     fun () ->
-      charge st cost;
+      st.cycles <- st.cycles + cost;
       st.stats.n_arith <- st.stats.n_arith + 1;
-      Vint (trunc_ikind ik (f (as_int (ca ())) (as_int (cb ()))))
+      let y = cb () in
+      f (ca ()) y)
+  | Ast.Cast (_, a) -> long_of ctx a
+  | Ast.Cond (c, a, b) -> compile_select ctx c (long_of ctx) a b
+  | Ast.SizeofExp _ -> Loc.error loc "sizeof(expr) survived normalization"
+  | Ast.Call (f, _) ->
+    Loc.error loc "expression-level call to '%s' survived normalization" f
+  | _ -> not_this_kind loc "long" e
+
+(** [float]/[double] expressions. *)
+and compile_float (ctx : ctx) (e : Ast.exp) : unit -> float =
+  let st = ctx.m.st in
+  let loc = Loc.dummy in
+  let e = fold_constants (comps ctx) e in
+  match e with
+  | Ast.Const (Cfloat (f, fk)) ->
+    let v = round_float_kind fk f in
+    fun () -> v
+  | Ast.Lval (aid, lv) -> compile_load ctx aid lv Memory.load_float
+  | Ast.Unop (Ast.Neg, a) ->
+    let ca = compile_float ctx a in
+    fun () ->
+      charge st Cost.float_arith;
+      st.stats.n_arith <- st.stats.n_arith + 1;
+      -.ca ()
+  | Ast.Unop (_, a) ->
+    Loc.error loc "invalid unary operand type %s" (Types.show_ty (ty ctx a))
+  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op), a, b) ->
+    let fk =
+      match ty ctx e with
+      | Types.Tfloat fk -> fk
+      | t -> Loc.error loc "float op with non-float type %s" (Types.show_ty t)
+    in
+    let ca = float_operand ctx a in
+    let cb = float_operand ctx b in
+    let cost = if op = Ast.Div then Cost.float_div else Cost.float_arith in
+    let f : float -> float -> float =
+      match op with
+      | Ast.Add -> ( +. )
+      | Ast.Sub -> ( -. )
+      | Ast.Mul -> ( *. )
+      | _ -> ( /. )
+    in
+    fun () ->
+      st.cycles <- st.cycles + cost;
+      st.stats.n_arith <- st.stats.n_arith + 1;
+      let y = cb () in
+      round_float_kind fk (f (ca ()) y)
+  | Ast.Cast (t, a) -> float_of ctx ~dst:t a
+  | Ast.Cond (c, a, b) -> compile_select ctx c (float_of ctx ~dst:(ty ctx e)) a b
+  | Ast.SizeofExp _ -> Loc.error loc "sizeof(expr) survived normalization"
+  | Ast.Call (f, _) ->
+    Loc.error loc "expression-level call to '%s' survived normalization" f
+  | _ -> not_this_kind loc "float" e
+
+(** Conditions: any scalar expression, tested against zero. *)
+and compile_cond (ctx : ctx) (e : Ast.exp) : unit -> bool =
+  let st = ctx.m.st in
+  let loc = Loc.dummy in
+  let e = fold_constants (comps ctx) e in
+  match e with
+  | Ast.Binop (((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b)
+    ->
+    let ta = ty ctx a and tb = ty ctx b in
+    let test = cmp_test op in
+    if Types.is_float ta || Types.is_float tb then begin
+      let ca = float_operand ctx a in
+      let cb = float_operand ctx b in
+      fun () ->
+        arith1 st;
+        let y = cb () in
+        test (Float.compare (ca ()) y)
+    end
+    else if kind_of loc ta = Klong || kind_of loc tb = Klong then begin
+      let ca = long_operand ctx a in
+      let cb = long_operand ctx b in
+      fun () ->
+        arith1 st;
+        let y = cb () in
+        test (Int64.compare (ca ()) y)
+    end
+    else
+      let ca = compile_int ctx a in
+      let cb = compile_int ctx b in
+      fun () ->
+        arith1 st;
+        let y = cb () in
+        test (Int.compare (ca ()) y)
+  | Ast.Binop (Ast.Land, a, b) ->
+    let ca = compile_cond ctx a in
+    let cb = compile_cond ctx b in
+    fun () ->
+      branch1 st;
+      ca () && cb ()
+  | Ast.Binop (Ast.Lor, a, b) ->
+    let ca = compile_cond ctx a in
+    let cb = compile_cond ctx b in
+    fun () ->
+      branch1 st;
+      ca () || cb ()
+  | Ast.Unop (Ast.Lognot, a) ->
+    let ca = compile_cond ctx a in
+    fun () ->
+      arith1 st;
+      not (ca ())
+  | _ -> (
+    match kind_of loc (ty ctx e) with
+    | Kint ->
+      let c = compile_int ctx e in
+      fun () -> c () <> 0
+    | Klong ->
+      let c = compile_long ctx e in
+      fun () -> c () <> 0L
+    | Kfloat ->
+      let c = compile_float ctx e in
+      fun () -> c () <> 0.0)
+
+(* C's conversions from an expression's own type to [dst]. Converting
+   to the same type is the identity (no truncation). *)
+
+(** To [dst], a [char]/[short]/[int] or pointer type. *)
+and int_of ctx ~(dst : Types.ty) (e : Ast.exp) : unit -> int =
+  let loc = Loc.dummy in
+  let src = ty ctx e and dst = Types.decay dst in
+  let trunc ik (c : unit -> int) =
+    match ik with
+    | Types.IInt -> fun () -> sext32 (c ())
+    | Types.IShort -> fun () -> sext16 (c ())
+    | Types.IChar -> fun () -> sext8 (c ())
+    | Types.ILong -> c
+  in
+  match (src, dst) with
+  | a, b when Types.equal_ty a b -> compile_int ctx e
+  | Types.Tint Types.ILong, Types.Tint ik ->
+    let c = compile_long ctx e in
+    trunc ik (fun () -> Int64.to_int (c ()))
+  | (Types.Tint _ | Types.Tptr _), Types.Tint ik -> trunc ik (compile_int ctx e)
+  | Types.Tfloat _, Types.Tint ik ->
+    let c = compile_float ctx e in
+    trunc ik (fun () ->
+        let f = c () in
+        if Float.is_nan f then 0 else Int64.to_int (Int64.of_float f))
+  | Types.Tint Types.ILong, Types.Tptr _ ->
+    let c = compile_long ctx e in
+    fun () -> ptr_of_int64 (c ())
+  | (Types.Tptr _ | Types.Tint _), Types.Tptr _ -> compile_int ctx e
+  | a, b ->
+    Loc.error loc "cannot convert %s to %s" (Types.show_ty a) (Types.show_ty b)
+
+(** To [long]. *)
+and long_of ctx (e : Ast.exp) : unit -> int64 =
+  let loc = Loc.dummy in
+  match ty ctx e with
+  | Types.Tint Types.ILong -> compile_long ctx e
+  | Types.Tint _ | Types.Tptr _ ->
+    let c = compile_int ctx e in
+    fun () -> Int64.of_int (c ())
+  | Types.Tfloat _ ->
+    let c = compile_float ctx e in
+    fun () ->
+      let f = c () in
+      if Float.is_nan f then 0L else Int64.of_float f
+  | a ->
+    Loc.error loc "cannot convert %s to %s" (Types.show_ty a)
+      (Types.show_ty (Types.Tint Types.ILong))
+
+(** To [dst], [float] or [double]. *)
+and float_of ctx ~(dst : Types.ty) (e : Ast.exp) : unit -> float =
+  let loc = Loc.dummy in
+  let fk =
+    match Types.decay dst with
+    | Types.Tfloat fk -> fk
+    | t -> Loc.error loc "cannot convert to %s" (Types.show_ty t)
+  in
+  let round (c : unit -> float) =
+    match fk with
+    | Types.FDouble -> c
+    | Types.FFloat -> fun () -> round_float_kind fk (c ())
+  in
+  match ty ctx e with
+  | Types.Tfloat fk' when fk' = fk -> compile_float ctx e
+  | Types.Tfloat _ -> round (compile_float ctx e)
+  | Types.Tint Types.ILong ->
+    let c = compile_long ctx e in
+    round (fun () -> Int64.to_float (c ()))
+  | Types.Tint _ ->
+    let c = compile_int ctx e in
+    round (fun () -> Float.of_int (c ()))
+  | a ->
+    Loc.error loc "cannot convert %s to %s" (Types.show_ty a)
+      (Types.show_ty dst)
+
+(* Operands of binary operators are not converted to the result type;
+   they are read as C's integer or floating value of their own type. *)
+and int_index ctx (e : Ast.exp) : unit -> int =
+  match kind_of Loc.dummy (ty ctx e) with
+  | Kint -> compile_int ctx e
+  | Klong ->
+    let c = compile_long ctx e in
+    fun () -> Int64.to_int (c ())
+  | Kfloat -> not_this_kind Loc.dummy "index" e
+
+and long_operand ctx (e : Ast.exp) : unit -> int64 =
+  match kind_of Loc.dummy (ty ctx e) with
+  | Klong -> compile_long ctx e
+  | Kint ->
+    let c = compile_int ctx e in
+    fun () -> Int64.of_int (c ())
+  | Kfloat -> not_this_kind Loc.dummy "integer operand" e
+
+and float_operand ctx (e : Ast.exp) : unit -> float =
+  match kind_of Loc.dummy (ty ctx e) with
+  | Kfloat -> compile_float ctx e
+  | Klong ->
+    let c = compile_long ctx e in
+    fun () -> Int64.to_float (c ())
+  | Kint ->
+    let c = compile_int ctx e in
+    fun () -> Float.of_int (c ())
+
+(* A scalar load: the address, then the access's cost and observer
+   call, then [read]. *)
+and compile_load : 'a. ctx -> Ast.aid -> Ast.lval ->
+    (Memory.t -> int -> int -> 'a) -> unit -> 'a =
+ fun ctx aid lv read ->
+  let st = ctx.m.st in
+  let width = scalar_width Loc.dummy (Typecheck.lval_ty ctx.fe lv) in
+  let addr_c = compile_addr ctx lv in
+  let in_reg = load_in_reg ctx lv in
+  fun () ->
+    let addr = addr_c () in
+    if in_reg then do_load_reg st aid addr width
+    else do_load st aid addr width;
+    read st.mem addr width
+
+(* [c ? a : b], with both arms compiled (in that order) by [arm]. *)
+and compile_select : 'a. ctx -> Ast.exp -> (Ast.exp -> unit -> 'a) ->
+    Ast.exp -> Ast.exp -> unit -> 'a =
+ fun ctx c arm a b ->
+  let st = ctx.m.st in
+  let cc = compile_cond ctx c in
+  let ca = arm a in
+  let cb = arm b in
+  fun () ->
+    branch1 st;
+    if cc () then ca () else cb ()
 
 (** Compile the address computation of an lvalue. *)
 and compile_addr (ctx : ctx) (lv : Ast.lval) : unit -> int =
@@ -550,9 +835,9 @@ and compile_addr (ctx : ctx) (lv : Ast.lval) : unit -> int =
       let addr = global_addr st x in
       fun () -> addr)
   | Ast.Deref e ->
-    let ce = compile_exp ctx e in
+    let ce = compile_int ctx e in
     fun () ->
-      let a = Int64.to_int (as_int (ce ())) in
+      let a = ce () in
       if a = 0 then runtime_error "null pointer dereference";
       a
   | Ast.Index (base, i) ->
@@ -563,9 +848,11 @@ and compile_addr (ctx : ctx) (lv : Ast.lval) : unit -> int =
     in
     let sz = Types.sizeof (comps ctx) loc elt in
     let cb = compile_addr ctx base in
-    let ci = compile_exp ctx i in
+    let ci = int_index ctx i in
     (* scaled-index address generation folds into the access (AGU) *)
-    fun () -> cb () + (Int64.to_int (as_int (ci ())) * sz)
+    fun () ->
+      let i = ci () in
+      cb () + (i * sz)
   | Ast.Field (base, f) ->
     let tag =
       match Typecheck.lval_ty ctx.fe base with
@@ -580,6 +867,51 @@ and compile_addr (ctx : ctx) (lv : Ast.lval) : unit -> int =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Store [e], converted to [t], at the address [addr_c] computes; the
+   value is evaluated first. [note] reports the store (cost and
+   observer) after the write. *)
+let compile_store ctx loc (t : Types.ty) (addr_c : unit -> int)
+    (e : Ast.exp) ~(note : int -> unit) : unit -> unit =
+  let st = ctx.m.st in
+  match kind_of loc t with
+  | Kint ->
+    let store = int_store st loc t in
+    let ce = int_of ctx ~dst:t e in
+    fun () ->
+      let v = ce () in
+      let addr = addr_c () in
+      store addr v;
+      note addr
+  | Klong ->
+    let store = long_store st loc t in
+    let ce = long_of ctx e in
+    fun () ->
+      let v = ce () in
+      let addr = addr_c () in
+      store addr v;
+      note addr
+  | Kfloat ->
+    let store = float_store st loc t in
+    let ce = float_of ctx ~dst:t e in
+    fun () ->
+      let v = ce () in
+      let addr = addr_c () in
+      store addr v;
+      note addr
+
+let store_note ctx loc aid (lv : Ast.lval) (t : Types.ty) : int -> unit =
+  let st = ctx.m.st in
+  let width = scalar_width loc t in
+  if store_in_reg ctx lv then fun addr -> do_store_reg st aid addr width
+  else fun addr -> do_store st aid addr width
+
+let zero_ret r =
+  r.r_int <- 0;
+  r.r_long <- 0L;
+  r.r_float <- 0.0
+
+type printf_arg = Pint of int64 | Pfloat of float
+
 let rec compile_stmt (ctx : ctx) (s : Ast.stmt) : unit -> unit =
   let st = ctx.m.st in
   let loc = s.Ast.sloc in
@@ -587,62 +919,67 @@ let rec compile_stmt (ctx : ctx) (s : Ast.stmt) : unit -> unit =
   | Ast.Sskip -> fun () -> ()
   | Ast.Sassign (aid, lv, e) ->
     let tlv = Typecheck.lval_ty ctx.fe lv in
-    let width = scalar_width (comps ctx) loc tlv in
+    let note = store_note ctx loc aid lv tlv in
     let addr_c = compile_addr ctx lv in
-    let ce =
-      coerce loc ~src:(Typecheck.exp_ty ctx.fe e) ~dst:tlv (compile_exp ctx e)
-    in
-    let in_reg =
-      match lv with Ast.Var x -> Hashtbl.mem ctx.regs x | _ -> false
-    in
     (* the observer fires after the write so value-reading observers
        (the privatization-contract checker) see the stored value; the
        dependence profiler is positional and does not care *)
-    if in_reg then fun () ->
-      let v = ce () in
-      let addr = addr_c () in
-      store_scalar st (comps ctx) loc tlv addr v;
-      do_store_reg st aid addr width
-    else fun () ->
-      let v = ce () in
-      let addr = addr_c () in
-      store_scalar st (comps ctx) loc tlv addr v;
-      do_store st aid addr width
+    compile_store ctx loc tlv addr_c e ~note
   | Ast.Scall (ret, f, args) -> compile_call ctx loc ret f args
   | Ast.Sseq stmts ->
     let cs = Array.of_list (List.map (compile_stmt ctx) stmts) in
-    fun () -> Array.iter (fun c -> c ()) cs
-  | Ast.Sif (c, a, b) ->
-    let cc = compile_exp ctx c in
-    let ca = compile_stmt ctx a and cb = compile_stmt ctx b in
     fun () ->
-      charge st Cost.branch;
-      st.stats.n_branches <- st.stats.n_branches + 1;
-      if truthy (cc ()) then ca () else cb ()
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) ()
+      done
+  | Ast.Sif (c, a, b) ->
+    let cc = compile_cond ctx c in
+    let ca = compile_stmt ctx a in
+    let cb = compile_stmt ctx b in
+    fun () ->
+      branch1 st;
+      if cc () then ca () else cb ()
   | Ast.Swhile (lid, c, body) ->
-    let cc = compile_exp ctx c in
+    let cc = compile_cond ctx c in
     let cbody = compile_stmt ctx body in
     compile_loop st lid cc cbody (fun () -> ())
   | Ast.Sfor (lid, init, c, step, body) ->
     let cinit = compile_stmt ctx init in
-    let cc = compile_exp ctx c in
+    let cc = compile_cond ctx c in
     let cstep = compile_stmt ctx step in
     let cbody = compile_stmt ctx body in
     let loop = compile_loop st lid cc cbody cstep in
     fun () ->
       cinit ();
       loop ()
-  | Ast.Sreturn None -> fun () -> raise (Return_exc (Vint 0L))
-  | Ast.Sreturn (Some e) ->
-    let ce =
-      coerce loc ~src:(Typecheck.exp_ty ctx.fe e) ~dst:ctx.fe.Typecheck.fn_ret
-        (compile_exp ctx e)
-    in
-    fun () -> raise (Return_exc (ce ()))
-  | Ast.Sbreak -> fun () -> raise Break_exc
-  | Ast.Scontinue -> fun () -> raise Continue_exc
+  | Ast.Sreturn None ->
+    let r = ctx.ret in
+    fun () ->
+      zero_ret r;
+      raise_notrace Return_exc
+  | Ast.Sreturn (Some e) -> (
+    let r = ctx.ret in
+    let t = ctx.fe.Typecheck.fn_ret in
+    match kind_of loc t with
+    | Kint ->
+      let ce = int_of ctx ~dst:t e in
+      fun () ->
+        r.r_int <- ce ();
+        raise_notrace Return_exc
+    | Klong ->
+      let ce = long_of ctx e in
+      fun () ->
+        r.r_long <- ce ();
+        raise_notrace Return_exc
+    | Kfloat ->
+      let ce = float_of ctx ~dst:t e in
+      fun () ->
+        r.r_float <- ce ();
+        raise_notrace Return_exc)
+  | Ast.Sbreak -> fun () -> raise_notrace Break_exc
+  | Ast.Scontinue -> fun () -> raise_notrace Continue_exc
 
-(* The [Iter i] event fires BEFORE the condition of iteration [i] is
+(* The [Iter] event fires BEFORE the condition of iteration [i] is
    evaluated, so that condition accesses are attributed to the
    iteration about to run (a condition read of a value written by the
    previous iteration is then correctly seen as loop-carried). A loop
@@ -650,16 +987,15 @@ let rec compile_stmt (ctx : ctx) (s : Ast.stmt) : unit -> unit =
    segment contains only the failing test. *)
 and compile_loop st lid cc cbody cstep : unit -> unit =
   fun () ->
-    (match st.loop_hook with Some h -> h lid Enter | None -> ());
+    (match st.loop_hook with Some h -> h lid Enter 0 | None -> ());
     (try
        let iter = ref 0 in
        let continue_ = ref true in
        while !continue_ do
-         (match st.loop_hook with Some h -> h lid (Iter !iter) | None -> ());
+         (match st.loop_hook with Some h -> h lid Iter !iter | None -> ());
          burn_fuel st;
-         charge st Cost.branch;
-         st.stats.n_branches <- st.stats.n_branches + 1;
-         if truthy (cc ()) then begin
+         branch1 st;
+         if cc () then begin
            if st.iter_skip then st.iter_skip <- false
            else (try cbody () with Continue_exc -> ());
            cstep ();
@@ -673,32 +1009,77 @@ and compile_loop st lid cc cbody cstep : unit -> unit =
          end
        done
      with Break_exc -> ());
-    match st.loop_hook with Some h -> h lid Exit | None -> ()
+    match st.loop_hook with Some h -> h lid Exit 0 | None -> ()
+
+(* Store the value a call left in the return slot (of kind [k]) into
+   the call's result lvalue, converting it to the lvalue's type. *)
+and compile_ret_store ctx loc ret (k : kind) : unit -> unit =
+  let st = ctx.m.st in
+  match ret with
+  | None -> fun () -> ()
+  | Some (aid, lv) -> (
+    let tlv = Typecheck.lval_ty ctx.fe lv in
+    let note = store_note ctx loc aid lv tlv in
+    let addr_c = compile_addr ctx lv in
+    let r = ctx.ret in
+    match k with
+    | Kint ->
+      let store = int_store st loc tlv in
+      fun () ->
+        let addr = addr_c () in
+        store addr r.r_int;
+        note addr
+    | Klong ->
+      let store = long_store st loc tlv in
+      fun () ->
+        let addr = addr_c () in
+        store addr r.r_long;
+        note addr
+    | Kfloat ->
+      let store = float_store st loc tlv in
+      fun () ->
+        let addr = addr_c () in
+        store addr r.r_float;
+        note addr)
+
+(* One call-site scratch slot per argument: [eval] computes the
+   argument in the caller's frame, [bind] stores it into the callee's
+   formal (of type [t]) once the frame is pushed. *)
+and arg_binder ctx loc (e : Ast.exp) (t : Types.ty) :
+    (unit -> unit) * (int -> unit) =
+  let st = ctx.m.st in
+  match kind_of loc (ty ctx e) with
+  | Kint ->
+    let c = compile_int ctx e in
+    let store = int_store st loc t in
+    let slot = ref 0 in
+    ((fun () -> slot := c ()), fun addr -> store addr !slot)
+  | Klong ->
+    let c = compile_long ctx e in
+    let store = long_store st loc t in
+    let slot = ref 0L in
+    ((fun () -> slot := c ()), fun addr -> store addr !slot)
+  | Kfloat ->
+    let c = compile_float ctx e in
+    let store = float_store st loc t in
+    let slot = ref 0.0 in
+    ((fun () -> slot := c ()), fun addr -> store addr !slot)
 
 and compile_call ctx loc ret f args : unit -> unit =
   let st = ctx.m.st in
-  let cargs = List.map (compile_exp ctx) args in
-  let store_ret =
-    match ret with
-    | None -> fun (_ : value) -> ()
-    | Some (aid, lv) ->
-      let tlv = Typecheck.lval_ty ctx.fe lv in
-      let width = scalar_width (comps ctx) loc tlv in
-      let addr_c = compile_addr ctx lv in
-      let in_reg =
-        match lv with Ast.Var x -> Hashtbl.mem ctx.regs x | _ -> false
-      in
-      if in_reg then fun v ->
-        let addr = addr_c () in
-        store_scalar st (comps ctx) loc tlv addr v;
-        do_store_reg st aid addr width
-      else fun v ->
-        let addr = addr_c () in
-        store_scalar st (comps ctx) loc tlv addr v;
-        do_store st aid addr width
-  in
   match Ast.find_fun ctx.m.prog f with
-  | Some _ ->
+  | Some fd ->
+    let binders =
+      List.map2 (fun e (_, t) -> arg_binder ctx loc e t) args fd.Ast.fformals
+    in
+    let evals = Array.of_list (List.map fst binders) in
+    let binds = Array.of_list (List.map snd binders) in
+    let nargs = Array.length evals in
+    let store_ret =
+      match fd.Ast.freturn with
+      | Types.Tvoid -> fun () -> ()
+      | t -> compile_ret_store ctx loc ret (kind_of loc t)
+    in
     let cf_ref =
       match Hashtbl.find_opt ctx.m.funs f with
       | Some r -> r
@@ -713,7 +1094,9 @@ and compile_call ctx loc ret f args : unit -> unit =
         | Some cf -> cf
         | None -> runtime_error "function '%s' not yet linked" f
       in
-      let argv = List.map (fun c -> c ()) cargs in
+      for i = 0 to nargs - 1 do
+        evals.(i) ()
+      done;
       (* push a frame *)
       let base = (st.sp + 7) land lnot 7 in
       if base + cf.cf_frame_size > st.stack_limit then
@@ -722,176 +1105,228 @@ and compile_call ctx loc ret f args : unit -> unit =
       st.sp <- base + cf.cf_frame_size;
       st.frame <- base;
       Memory.fill st.mem ~dst:base ~len:cf.cf_frame_size 0;
-      List.iter2
-        (fun (off, t, aid) v ->
-          let addr = base + off in
-          store_scalar st (comps ctx) loc t addr v;
-          do_store st aid addr (scalar_width (comps ctx) loc t))
-        cf.cf_formals argv;
-      let result =
-        try
-          cf.cf_body ();
-          Vint 0L
-        with Return_exc v -> v
-      in
+      for i = 0 to nargs - 1 do
+        let off, aid, width = cf.cf_formals.(i) in
+        let addr = base + off in
+        binds.(i) addr;
+        do_store st aid addr width
+      done;
+      (match cf.cf_body () with
+      | () -> zero_ret ctx.ret
+      | exception Return_exc -> ());
       st.sp <- old_sp;
       st.frame <- old_frame;
-      store_ret result
+      store_ret ()
   | None ->
     let ret_aid = Option.map fst ret in
-    let bi = compile_builtin ctx loc ?ret_aid f in
+    let bi, k = compile_builtin ctx loc ?ret_aid f args in
+    let store_ret = compile_ret_store ctx loc ret k in
     fun () ->
       charge st Cost.call;
       st.stats.n_calls <- st.stats.n_calls + 1;
-      let argv = List.map (fun c -> c ()) cargs in
-      store_ret (bi argv)
+      bi ();
+      store_ret ()
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
 (* ------------------------------------------------------------------ *)
 
-and compile_builtin ctx loc ?ret_aid name : value list -> value =
+(* A builtin evaluates its arguments left to right, runs, and leaves
+   its result in the return slot; the second component is that
+   result's kind. The type checker has checked the arities. *)
+and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
+    (unit -> unit) * kind =
   let st = ctx.m.st in
+  let r = ctx.ret in
   let notify_alloc base size =
     match st.alloc_hook with Some h -> h ret_aid base size | None -> ()
   in
-  let int1 f = function
-    | [ v ] -> f (as_int v)
-    | _ -> runtime_error "bad arity for %s" name
+  let int_arg e : unit -> int =
+    match kind_of loc (ty ctx e) with
+    | Kint -> compile_int ctx e
+    | Klong ->
+      let c = compile_long ctx e in
+      fun () -> Int64.to_int (c ())
+    | Kfloat ->
+      let c = compile_float ctx e in
+      fun () -> runtime_error "expected an integer value, got float %g" (c ())
   in
-  let float1 f = function
-    | [ v ] ->
-      charge st Cost.float_fn;
-      Vfloat (f (as_float v))
-    | _ -> runtime_error "bad arity for %s" name
+  let one () =
+    match args with [ a ] -> a | _ -> Loc.error loc "bad arity for %s" name
+  in
+  (* integer arguments, evaluated into this call site's scratch [v] *)
+  let ints (f : int array -> int) =
+    let cs = Array.of_list (List.map int_arg args) in
+    let v = Array.make (Array.length cs) 0 in
+    ( (fun () ->
+        for i = 0 to Array.length cs - 1 do
+          v.(i) <- cs.(i) ()
+        done;
+        r.r_int <- f v),
+      Kint )
+  in
+  let float1 f =
+    let c = float_operand ctx (one ()) in
+    ( (fun () ->
+        let x = c () in
+        charge st Cost.float_fn;
+        r.r_float <- f x),
+      Kfloat )
+  in
+  (* builtins whose result is their (possibly long) argument's C value *)
+  let int_or_long on_int on_long =
+    let a = one () in
+    match kind_of loc (ty ctx a) with
+    | Klong ->
+      let c = compile_long ctx a in
+      ((fun () -> on_long (c ())), Klong)
+    | _ ->
+      let c = int_arg a in
+      ((fun () -> on_int (c ())), Kint)
   in
   match name with
   | "malloc" ->
-    int1 (fun n ->
+    ints (fun v ->
         charge st Cost.malloc;
         st.stats.n_allocs <- st.stats.n_allocs + 1;
-        let n = Int64.to_int n in
+        let base = Memory.alloc st.mem v.(0) in
+        notify_alloc base v.(0);
+        base)
+  | "calloc" ->
+    ints (fun v ->
+        charge st Cost.malloc;
+        st.stats.n_allocs <- st.stats.n_allocs + 1;
+        let n = v.(0) * v.(1) in
         let base = Memory.alloc st.mem n in
         notify_alloc base n;
-        Vint (Int64.of_int base))
-  | "calloc" -> (
-    function
-    | [ a; b ] ->
-      charge st Cost.malloc;
-      st.stats.n_allocs <- st.stats.n_allocs + 1;
-      let n = Int64.to_int (as_int a) * Int64.to_int (as_int b) in
-      let base = Memory.alloc st.mem n in
-      notify_alloc base n;
-      Vint (Int64.of_int base)
-    | _ -> runtime_error "bad arity for calloc")
-  | "realloc" -> (
-    function
-    | [ p; n ] ->
-      charge st (Cost.malloc + Cost.free);
-      st.stats.n_allocs <- st.stats.n_allocs + 1;
-      let p = Int64.to_int (as_int p) and n = Int64.to_int (as_int n) in
-      if p = 0 then begin
-        let base = Memory.alloc st.mem n in
-        notify_alloc base n;
-        Vint (Int64.of_int base)
-      end
-      else begin
-        let old = Memory.block_size st.mem p in
-        let fresh = Memory.alloc st.mem n in
-        Memory.blit st.mem ~src:p ~dst:fresh ~len:(min old n);
-        (match st.bulk_hook with
-        | Some h -> h fresh (Some p) (min old n)
-        | None -> ());
-        (match st.free_hook with Some h -> h p old | None -> ());
-        Memory.free st.mem p;
-        notify_alloc fresh n;
-        Vint (Int64.of_int fresh)
-      end
-    | _ -> runtime_error "bad arity for realloc")
+        base)
+  | "realloc" ->
+    ints (fun v ->
+        let p = v.(0) and n = v.(1) in
+        charge st (Cost.malloc + Cost.free);
+        st.stats.n_allocs <- st.stats.n_allocs + 1;
+        if p = 0 then begin
+          let base = Memory.alloc st.mem n in
+          notify_alloc base n;
+          base
+        end
+        else begin
+          let old = Memory.block_size st.mem p in
+          let fresh = Memory.alloc st.mem n in
+          Memory.blit st.mem ~src:p ~dst:fresh ~len:(min old n);
+          (match st.bulk_hook with
+          | Some h -> h fresh (Some p) (min old n)
+          | None -> ());
+          (match st.free_hook with Some h -> h p old | None -> ());
+          Memory.free st.mem p;
+          notify_alloc fresh n;
+          fresh
+        end)
   | "free" ->
-    int1 (fun p ->
+    ints (fun v ->
+        let base = v.(0) in
         charge st Cost.free;
-        let base = Int64.to_int p in
         (if base <> 0 then
            match st.free_hook with
            | Some h -> h base (Memory.block_size st.mem base)
            | None -> ());
         Memory.free st.mem base;
-        Vint 0L)
+        0)
   | "printf" -> (
-    function
+    match args with
+    | [] -> Loc.error loc "printf with no format"
     | fmt :: rest ->
-      let s = format_printf st (Int64.to_int (as_int fmt)) rest in
-      Buffer.add_string st.out s;
-      charge st (Cost.io_char * String.length s);
-      Vint (Int64.of_int (String.length s))
-    | [] -> runtime_error "printf with no format")
+      let cfmt = int_arg fmt in
+      let crest =
+        List.map
+          (fun e : (unit -> printf_arg) ->
+            match kind_of loc (ty ctx e) with
+            | Kint ->
+              let c = compile_int ctx e in
+              fun () -> Pint (Int64.of_int (c ()))
+            | Klong ->
+              let c = compile_long ctx e in
+              fun () -> Pint (c ())
+            | Kfloat ->
+              let c = compile_float ctx e in
+              fun () -> Pfloat (c ()))
+          rest
+      in
+      ( (fun () ->
+          let fmt = cfmt () in
+          let args = List.map (fun c -> c ()) crest in
+          let s = format_printf st fmt args in
+          Buffer.add_string st.out s;
+          charge st (Cost.io_char * String.length s);
+          r.r_int <- String.length s),
+        Kint ))
   | "putchar" ->
-    int1 (fun c ->
-        Buffer.add_char st.out (Char.chr (Int64.to_int c land 0xff));
-        charge st Cost.io_char;
-        Vint c)
+    let put c =
+      Buffer.add_char st.out (Char.chr (c land 0xff));
+      charge st Cost.io_char
+    in
+    int_or_long
+      (fun c ->
+        put c;
+        r.r_int <- c)
+      (fun c ->
+        put (Int64.to_int c);
+        r.r_long <- c)
   | "puts" ->
-    int1 (fun p ->
-        let s = Memory.read_cstring st.mem (Int64.to_int p) in
+    ints (fun v ->
+        let s = Memory.read_cstring st.mem v.(0) in
         Buffer.add_string st.out s;
         Buffer.add_char st.out '\n';
         charge st (Cost.io_char * (String.length s + 1));
-        Vint 0L)
-  | "memset" -> (
-    function
-    | [ p; c; n ] ->
-      let p = Int64.to_int (as_int p) and n = Int64.to_int (as_int n) in
-      Memory.fill st.mem ~dst:p ~len:n (Int64.to_int (as_int c));
-      (match st.bulk_hook with Some h -> h p None n | None -> ());
-      charge st (n / 8 * Cost.store);
-      Vint (Int64.of_int p)
-    | _ -> runtime_error "bad arity for memset")
-  | "memcpy" -> (
-    function
-    | [ d; s; n ] ->
-      let d = Int64.to_int (as_int d)
-      and s = Int64.to_int (as_int s)
-      and n = Int64.to_int (as_int n) in
-      Memory.blit st.mem ~src:s ~dst:d ~len:n;
-      (match st.bulk_hook with Some h -> h d (Some s) n | None -> ());
-      charge st (n / 8 * (Cost.load + Cost.store));
-      Vint (Int64.of_int d)
-    | _ -> runtime_error "bad arity for memcpy")
+        0)
+  | "memset" ->
+    ints (fun v ->
+        let p = v.(0) and n = v.(2) in
+        Memory.fill st.mem ~dst:p ~len:n v.(1);
+        (match st.bulk_hook with Some h -> h p None n | None -> ());
+        charge st (n / 8 * Cost.store);
+        p)
+  | "memcpy" ->
+    ints (fun v ->
+        let d = v.(0) and s = v.(1) and n = v.(2) in
+        Memory.blit st.mem ~src:s ~dst:d ~len:n;
+        (match st.bulk_hook with Some h -> h d (Some s) n | None -> ());
+        charge st (n / 8 * (Cost.load + Cost.store));
+        d)
   | "strlen" ->
-    int1 (fun p ->
-        let s = Memory.read_cstring st.mem (Int64.to_int p) in
-        charge st (String.length s * Cost.load);
-        Vint (Int64.of_int (String.length s)))
-  | "abs" | "labs" -> int1 (fun v -> Vint (Int64.abs v))
+    ints (fun v ->
+        let n = Memory.strlen st.mem v.(0) in
+        charge st (n * Cost.load);
+        n)
+  | "abs" | "labs" ->
+    int_or_long (fun v -> r.r_int <- abs v) (fun v -> r.r_long <- Int64.abs v)
   | "sqrt" -> float1 sqrt
   | "fabs" -> float1 Float.abs
   | "floor" -> float1 Float.floor
   | "exp" -> float1 Stdlib.exp
   | "log" -> float1 Stdlib.log
-  | "rand" -> (
-    function
-    | [] ->
-      st.rand_state <-
-        Int64.add
-          (Int64.mul st.rand_state 6364136223846793005L)
-          1442695040888963407L;
-      Vint (Int64.logand (Int64.shift_right_logical st.rand_state 33) 0x3FFFFFFFL)
-    | _ -> runtime_error "bad arity for rand")
+  | "rand" ->
+    ints (fun _ ->
+        st.rand_state <-
+          Int64.add
+            (Int64.mul st.rand_state 6364136223846793005L)
+            1442695040888963407L;
+        Int64.to_int
+          (Int64.logand (Int64.shift_right_logical st.rand_state 33) 0x3FFFFFFFL))
   | "srand" ->
-    int1 (fun v ->
-        st.rand_state <- Int64.add v 0x9E3779B97F4A7C15L;
-        Vint 0L)
-  | "exit" -> int1 (fun v -> raise (Exit_program (Int64.to_int v)))
+    let seed v = st.rand_state <- Int64.add v 0x9E3779B97F4A7C15L in
+    int_or_long (fun v -> seed (Int64.of_int v)) seed
+  | "exit" -> ints (fun v -> raise (Exit_program v.(0)))
   | "assert" ->
-    int1 (fun v ->
-        if v = 0L then runtime_error "assertion failed at %s" (Loc.to_string loc);
-        Vint 0L)
+    let check failed =
+      if failed then runtime_error "assertion failed at %s" (Loc.to_string loc)
+    in
+    int_or_long (fun v -> check (v = 0)) (fun v -> check (v = 0L))
   | _ -> Loc.error loc "unknown builtin '%s'" name
 
 (** Minimal printf: supports %d %i %u %c %s %x %f %g %e %%, the 'l'
     length modifier, width, '0'/'-' flags and precision. *)
-and format_printf st fmt_addr (args : value list) : string =
+and format_printf st fmt_addr (args : printf_arg list) : string =
   let fmt = Memory.read_cstring st.mem fmt_addr in
   let buf = Buffer.create (String.length fmt) in
   let args = ref args in
@@ -902,6 +1337,11 @@ and format_printf st fmt_addr (args : value list) : string =
       args := rest;
       v
   in
+  let as_int = function
+    | Pint v -> v
+    | Pfloat f -> runtime_error "expected an integer value, got float %g" f
+  in
+  let as_float = function Pfloat f -> f | Pint v -> Int64.to_float v in
   let n = String.length fmt in
   let i = ref 0 in
   while !i < n do
@@ -991,10 +1431,7 @@ let rec eval_init m ctx (t : Types.ty) addr (ini : Ast.init) : unit =
   let comps = m.prog.Ast.comps in
   match (t, ini) with
   | _, Ast.Iexp e when Types.is_scalar (Types.decay t) ->
-    let c =
-      coerce loc ~src:(Typecheck.exp_ty ctx.fe e) ~dst:t (compile_exp ctx e)
-    in
-    store_scalar m.st comps loc t addr (c ())
+    compile_store ctx loc t (fun () -> addr) e ~note:ignore ()
   | Types.Tarray (elt, n), Ast.Ilist items ->
     let sz = Types.sizeof comps loc elt in
     List.iteri
@@ -1019,6 +1456,7 @@ let load (prog : Ast.program) : t =
   let st = make_state () in
   let m = { st; prog; funs = Hashtbl.create 16; inits = [] } in
   let env = Typecheck.make_env prog in
+  let ret = { r_int = 0; r_long = 0L; r_float = 0.0 } in
   (* Allocate all globals first so compiled code can reference them. *)
   List.iter
     (fun (name, t, _) ->
@@ -1084,22 +1522,27 @@ let load (prog : Ast.program) : t =
             | Types.Tarray _ -> ()
             | _ -> Hashtbl.replace regs x ())
         (f.Ast.fformals @ f.Ast.flocals);
-      let ctx = { m; fe; slots; regs } in
+      let ctx = { m; fe; slots; regs; ret } in
       let body = compile_stmt ctx f.Ast.fbody in
       let formals =
         List.map
           (fun (n, _) ->
             let off, t = List.assoc n slot_list in
-            (off, t, Ast.fresh_aid prog))
+            let width = if Types.is_scalar t then scalar_width Loc.dummy t else 0 in
+            (off, Ast.fresh_aid prog, width))
           f.Ast.fformals
       in
       (Hashtbl.find m.funs f.Ast.fname) :=
         Some
           {
             cf_frame_size = frame_size;
-            cf_formals = formals;
+            cf_formals = Array.of_list formals;
             cf_body = body;
-            cf_ret = f.Ast.freturn;
+            cf_ret_kind =
+              (match f.Ast.freturn with
+              | Types.Tvoid -> None
+              | t -> Some (kind_of Loc.dummy t));
+            cf_ret = ret;
           })
     (Ast.functions prog);
   (* Global initializers run in declaration order in a pseudo-frame. *)
@@ -1118,6 +1561,7 @@ let load (prog : Ast.program) : t =
       fe = Typecheck.fenv_of env dummy_fun;
       slots = Hashtbl.create 1;
       regs = Hashtbl.create 1;
+      ret;
     }
   in
   m.inits <-
@@ -1137,15 +1581,21 @@ let run (m : t) : int =
   match Hashtbl.find_opt m.funs "main" with
   | None | Some { contents = None } -> runtime_error "no main function"
   | Some { contents = Some cf } -> (
-    if cf.cf_formals <> [] then runtime_error "main must take no arguments";
+    if Array.length cf.cf_formals > 0 then
+      runtime_error "main must take no arguments";
     let base = (m.st.sp + 7) land lnot 7 in
     m.st.sp <- base + cf.cf_frame_size;
     m.st.frame <- base;
     try
-      (try
-         cf.cf_body ();
-         0
-       with Return_exc v -> Int64.to_int (as_int v))
+      match cf.cf_body () with
+      | () -> 0
+      | exception Return_exc -> (
+        let r = cf.cf_ret in
+        match cf.cf_ret_kind with
+        | Some Klong -> Int64.to_int r.r_long
+        | Some Kfloat ->
+          runtime_error "expected an integer value, got float %g" r.r_float
+        | Some Kint | None -> r.r_int)
     with Exit_program code -> code)
 
 (** Convenience: load + run, returning (exit code, captured stdout). *)

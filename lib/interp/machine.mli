@@ -1,17 +1,22 @@
 (** The MiniC abstract machine.
 
-    Programs are compiled once into OCaml closures. The machine is
-    deterministic and instrumented: every dynamic memory access
-    reports (access id, kind, address, size) to an optional observer
-    (the dependence profiler); every access may be surcharged by an
-    optional access-cost hook (the cache model); loops report
+    Programs are compiled once into OCaml closures, each expression by
+    its static type: [char]/[short]/[int] and pointer expressions
+    evaluate to immediate OCaml ints (so pointers must lie within
+    ±2{^62}), conditions to [bool], and only [long] and floating-point
+    values are boxed, once per value. The machine is deterministic and
+    instrumented: every dynamic memory access reports (access id,
+    kind, address, size) to an optional observer (the dependence
+    profiler); every access may be surcharged by an optional
+    access-cost hook (the cache model); loops report
     enter/iteration/exit events; frees report (base, size); cycle and
     instruction-class counters implement the cost model described in
-    DESIGN.md. *)
+    DESIGN.md. With no hook set, and with hooks that do not allocate
+    themselves, running [char]/[short]/[int]/pointer code allocates
+    nothing per access, operation, loop iteration or user-function
+    call (builtins such as [printf] and [malloc] still do). *)
 
 open Minic
-
-type value = Vint of int64 | Vfloat of float
 
 type stats = {
   mutable n_loads : int;
@@ -22,10 +27,13 @@ type stats = {
   mutable n_allocs : int;
 }
 
-(** [Iter i] fires {e before} iteration [i]'s condition is evaluated,
-    so condition accesses attribute to the iteration about to run; a
-    loop that exits via its condition reports one trailing [Iter]. *)
-type loop_event = Enter | Iter of int | Exit
+(** A loop hook receives [(lid, event, i)]. [Iter] fires {e before}
+    iteration [i]'s condition is evaluated, so condition accesses
+    attribute to the iteration about to run; a loop that exits via its
+    condition reports one trailing [Iter]. [i] is 0 with [Enter] and
+    [Exit]. The iteration travels as a plain [int] argument so that a
+    hook call allocates nothing. *)
+type loop_event = Enter | Iter | Exit
 
 type state = {
   mem : Memory.t;
@@ -41,7 +49,7 @@ type state = {
       (** fires on every access; for stores it fires {e after} the
           write, so an observer may read the just-stored value *)
   mutable access_extra : (Visit.access_kind -> int -> int -> int) option;
-  mutable loop_hook : (Ast.lid -> loop_event -> unit) option;
+  mutable loop_hook : (Ast.lid -> loop_event -> int -> unit) option;
   mutable free_hook : (int -> int -> unit) option;
   mutable alloc_hook : (Ast.aid option -> int -> int -> unit) option;
       (** (ret-store aid, base, requested size) after malloc / calloc /
@@ -49,7 +57,7 @@ type state = {
   mutable rand_state : int64;
   mutable fuel : int;  (** decremented per loop iteration and call *)
   mutable iter_skip : bool;
-      (** set by a loop hook at [Iter i] to skip that iteration's body
+      (** set by a loop hook at [Iter] to skip that iteration's body
           while still running the condition and step; the domain
           executor walks a distributed loop's traversal with this,
           executing only the chunks it owns. Cleared automatically

@@ -118,6 +118,31 @@ let check m addr size =
 (* Little-endian fixed-width accessors; loads sign-extend, matching
    MiniC's all-signed integer model. *)
 
+(* The immediate-int accessors the interpreter's char/short/int and
+   pointer values use: no int64 box on either side. *)
+let load_int m addr size : int =
+  check m addr size;
+  match size with
+  | 1 -> Bytes.get_int8 m.data addr
+  | 2 -> Bytes.get_int16_le m.data addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le m.data addr)
+  | 8 ->
+    let v = Bytes.get_int64_le m.data addr in
+    let i = Int64.to_int v in
+    if Int64.of_int i <> v then
+      fault "8-byte value %Ld at address %d does not fit in 63 bits" v addr;
+    i
+  | _ -> fault "unsupported load width %d" size
+
+let store_int m addr size (v : int) : unit =
+  check m addr size;
+  match size with
+  | 1 -> Bytes.set_uint8 m.data addr (v land 0xff)
+  | 2 -> Bytes.set_uint16_le m.data addr (v land 0xffff)
+  | 4 -> Bytes.set_int32_le m.data addr (Int32.of_int v)
+  | 8 -> Bytes.set_int64_le m.data addr (Int64.of_int v)
+  | _ -> fault "unsupported store width %d" size
+
 let load m addr size : int64 =
   check m addr size;
   match size with
@@ -150,16 +175,17 @@ let store_float m addr size (f : float) : unit =
   | 8 -> Bytes.set_int64_le m.data addr (Int64.bits_of_float f)
   | _ -> fault "unsupported float store width %d" size
 
-(* Raw byte windows, used by the domain executor to capture store
-   values into a write log and replay them on sibling machines. *)
+(* Byte windows between the arena and a write log, used by the domain
+   executor to capture store values and replay them on sibling
+   machines without an intermediate string. *)
 
-let read_raw m addr len : string =
+let add_to_buffer m buf addr len =
   check m addr len;
-  Bytes.sub_string m.data addr len
+  Buffer.add_subbytes buf m.data addr len
 
-let write_raw m addr (s : string) : unit =
-  check m addr (String.length s);
-  Bytes.blit_string s 0 m.data addr (String.length s)
+let blit_from_string m (s : string) src ~dst ~len =
+  check m dst len;
+  Bytes.blit_string s src m.data dst len
 
 let blit m ~src ~dst ~len =
   check m src len;
@@ -177,15 +203,16 @@ let write_cstring m s : int =
   Bytes.set m.data (base + String.length s) '\000';
   base
 
-let read_cstring m addr : string =
+let strlen m addr : int =
   check m addr 1;
   let rec find_end i =
     if i >= m.brk then fault "unterminated string at %d" addr
     else if Bytes.get m.data i = '\000' then i
     else find_end (i + 1)
   in
-  let stop = find_end addr in
-  Bytes.sub_string m.data addr (stop - addr)
+  find_end addr - addr
+
+let read_cstring m addr : string = Bytes.sub_string m.data addr (strlen m addr)
 
 let live_bytes m = m.live_bytes
 let peak_bytes m = m.peak_bytes

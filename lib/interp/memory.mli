@@ -28,8 +28,15 @@ val block_size : t -> int -> int
 (** Free a block by base address; freeing address 0 is a no-op. *)
 val free : t -> int -> unit
 
-(** Little-endian loads/stores of 1/2/4/8 bytes; integer loads
-    sign-extend (MiniC's all-signed model). *)
+(** Little-endian loads/stores of 1/2/4/8 bytes as immediate ints;
+    loads sign-extend (MiniC's all-signed model). An 8-byte value
+    outside the OCaml int range (bit 63 differing from bit 62) makes
+    {!load_int} raise {!Fault} rather than lose its top bit. *)
+val load_int : t -> int -> int -> int
+
+val store_int : t -> int -> int -> int -> unit
+
+(** The same accesses on [int64] values (every 64-bit pattern). *)
 val load : t -> int -> int -> int64
 
 val store : t -> int -> int -> int64 -> unit
@@ -38,18 +45,24 @@ val store_float : t -> int -> int -> float -> unit
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> dst:int -> len:int -> int -> unit
 
-(** Raw byte window of [len] bytes at [addr] (bounds-checked). The
-    domain executor captures store values with this and replays them
-    with {!write_raw} on sibling machines. *)
-val read_raw : t -> int -> int -> string
+(** [add_to_buffer m buf addr len] appends the [len] bytes at [addr]
+    to [buf] (bounds-checked). The domain executor captures store
+    values into its write logs with this, and replays them on sibling
+    machines with {!blit_from_string}. *)
+val add_to_buffer : t -> Buffer.t -> int -> int -> unit
 
-val write_raw : t -> int -> string -> unit
+(** [blit_from_string m s src ~dst ~len] copies [len] bytes of [s]
+    from offset [src] to address [dst] (bounds-checked). *)
+val blit_from_string : t -> string -> int -> dst:int -> len:int -> unit
 
 (** Store an OCaml string as a NUL-terminated C string; returns its
     address. *)
 val write_cstring : t -> string -> int
 
 val read_cstring : t -> int -> string
+
+(** Length of the NUL-terminated C string at [addr], scanned in place. *)
+val strlen : t -> int -> int
 
 (** Currently live tracked bytes (bucket-rounded). *)
 val live_bytes : t -> int

@@ -142,7 +142,7 @@ let run_sequential ?(machine = default_machine) ?attach (prog : Ast.program)
   let enter_at = Hashtbl.create 4 in
   st.Interp.Machine.loop_hook <-
     Some
-      (fun lid ev ->
+      (fun lid ev _ ->
         if List.mem lid lids then
           match ev with
           | Interp.Machine.Enter ->
@@ -151,7 +151,7 @@ let run_sequential ?(machine = default_machine) ?attach (prog : Ast.program)
               ~ts:(base + st.Interp.Machine.cycles)
               (loop_span_name lid);
             Hashtbl.replace enter_at lid st.Interp.Machine.cycles
-          | Interp.Machine.Iter _ -> ()
+          | Interp.Machine.Iter -> ()
           | Interp.Machine.Exit ->
             in_loop := max 0 (!in_loop - 1);
             Telemetry.Span.sim_end ~tid:(-1)
@@ -247,13 +247,13 @@ let count_iterations (prog : Ast.program) (threads : int)
   let inv = Hashtbl.create 8 in
   st.Interp.Machine.loop_hook <-
     Some
-      (fun lid ev ->
+      (fun lid ev i ->
         if List.mem lid lids then
           match ev with
           | Interp.Machine.Enter ->
             Hashtbl.replace inv lid
               (1 + Option.value ~default:(-1) (Hashtbl.find_opt inv lid))
-          | Interp.Machine.Iter i ->
+          | Interp.Machine.Iter ->
             Hashtbl.replace counts (lid, Hashtbl.find inv lid) i
           | Interp.Machine.Exit -> ());
   ignore (Interp.Machine.run m);
@@ -483,7 +483,7 @@ let run_parallel ?(machine = default_machine) ?rp ?heatmap ?attach
   in
   st.Interp.Machine.loop_hook <-
     Some
-      (fun lid ev ->
+      (fun lid ev i ->
         match List.find_opt (fun s -> s.lid = lid) specs with
         | None -> ()
         | Some spec -> (
@@ -523,7 +523,7 @@ let run_parallel ?(machine = default_machine) ?rp ?heatmap ?attach
                   dram_bytes = 0;
                   have_iter = false;
                 }
-          | Interp.Machine.Iter i -> (
+          | Interp.Machine.Iter -> (
             match !active with
             | Some al when al.spec.lid = lid ->
               finalize_iteration al;

@@ -310,12 +310,22 @@ let profile_allocation_bound () =
     ignore (f ());
     Gc.minor_words () -. w0
   in
-  let run = words (fun () -> Interp.Machine.run_program p) in
+  (* every load and store reaches the observer once *)
+  let calls = ref 0 in
+  let run =
+    words (fun () ->
+        let m = Interp.Machine.load p in
+        ignore (Interp.Machine.run m);
+        let s = m.Interp.Machine.st.Interp.Machine.stats in
+        calls := s.Interp.Machine.n_loads + s.Interp.Machine.n_stores)
+  in
   let prof = words (fun () -> Depgraph.Profiler.profile p lid) in
   Alcotest.(check bool)
-    (Printf.sprintf "profile %.0f minor words <= 1.1 x run %.0f" prof run)
+    (Printf.sprintf
+       "profile %.0f - run %.0f minor words <= 0.01 x %d observer calls" prof
+       run !calls)
     true
-    (prof <= 1.1 *. run)
+    (prof -. run <= 0.01 *. float_of_int !calls)
 
 (* --- Union-find properties. --- *)
 let uf_tests =

@@ -139,6 +139,9 @@ int main(void) {
       {|int main(void){ return (int)strlen("hello"); }|} 5;
     check_exit "void pointer roundtrip"
       "int main(void){ int x = 5; void *v = &x; int *p = (int *)v; return *p; }" 5;
+    check_exit "pointer round trip through long"
+      "int main(void){ int a[4]; int *p = &a[2]; long l = (long)p; int *q = (int *)l; *q = 7; return (q == p) * 10 + a[2]; }"
+      17;
   ]
 
 let control_tests =
@@ -189,6 +192,15 @@ let failure_tests =
     expect_error "modulo by zero" "int main(void){ int z = 0; return 1 % z; }";
     expect_error "assert failure" "int main(void){ assert(1 == 2); return 0; }";
     expect_error "wild pointer" "int main(void){ int *p = (int *)7; return *p; }";
+    (* pointers are immediate ints: 2^62 has no pointer representation *)
+    Alcotest.test_case "long beyond 63 bits to pointer" `Quick (fun () ->
+        let p =
+          Typecheck.parse_and_check
+            "int main(void){ long l = 4611686018427387904L; int *q = (int *)l; return q == 0; }"
+        in
+        match Interp.Machine.run_program p with
+        | exception Interp.Machine.Runtime_error _ -> ()
+        | code, _ -> Alcotest.failf "expected a runtime error, got exit %d" code);
     Alcotest.test_case "infinite loop fuel" `Quick (fun () ->
         let p =
           Typecheck.parse_and_check
@@ -227,27 +239,58 @@ let accounting_tests =
         Alcotest.(check bool) "at least 100 stores" true (stats.Interp.Machine.n_stores >= 100);
         Alcotest.(check bool) "at least 100 branches" true (stats.Interp.Machine.n_branches >= 100));
     Alcotest.test_case "observer sees accesses" `Quick (fun () ->
+        (* the last assignment loads on both sides of +, <, && and ?:,
+           through an index and through a deref; the (aid, kind,
+           cycles) sequence is what the cache model and DOACROSS
+           post/wait see, so it must not move *)
         let p =
           Typecheck.parse_and_check
-            "int g; int main(void){ g = 5; int x = g; return x; }"
+            "int g; int a[4]; int *p; int i; int j; int r;\n\
+             int main(void){\n\
+            \  g = 5; int x = g;\n\
+            \  a[0] = 3; a[1] = 5; a[2] = 7; a[3] = 9; p = &a[1]; i = 2; j = 1;\n\
+            \  r = (a[j] + *(p + j) < *(j + p) + a[i] && *p < a[i]) ? a[i] + *p : *(p + i) - a[j];\n\
+            \  return x + r;\n\
+             }"
         in
         let m = Interp.Machine.load p in
+        let st = m.Interp.Machine.st in
         let seen = ref [] in
-        m.Interp.Machine.st.Interp.Machine.observer <-
-          Some (fun aid kind addr size -> seen := (aid, kind, addr, size) :: !seen);
-        ignore (Interp.Machine.run m);
+        st.Interp.Machine.observer <-
+          Some
+            (fun aid kind addr size ->
+              seen := (aid, kind, addr, size, st.Interp.Machine.cycles) :: !seen);
+        Alcotest.(check int) "exit" 17 (Interp.Machine.run m);
+        let seen = List.rev !seen in
         let stores =
-          List.filter (fun (_, k, _, _) -> k = Minic.Visit.Store) !seen
+          List.filter (fun (_, k, _, _, _) -> k = Minic.Visit.Store) seen
         in
-        let loads = List.filter (fun (_, k, _, _) -> k = Minic.Visit.Load) !seen in
+        let loads = List.filter (fun (_, k, _, _, _) -> k = Minic.Visit.Load) seen in
         Alcotest.(check bool) "stores observed" true (List.length stores >= 2);
         Alcotest.(check bool) "loads observed" true (List.length loads >= 1);
         (* the store to g and the load of g hit the same address *)
-        let g_addr =
-          Interp.Machine.global_addr m.Interp.Machine.st "g"
-        in
+        let g_addr = Interp.Machine.global_addr st "g" in
         Alcotest.(check bool) "g's address accessed" true
-          (List.exists (fun (_, _, a, _) -> a = g_addr) !seen));
+          (List.exists (fun (_, _, a, _, _) -> a = g_addr) seen);
+        let order =
+          List.map
+            (fun (aid, k, _, _, cycles) ->
+              (aid, (if k = Minic.Visit.Load then "L" else "S"), cycles))
+            seen
+        in
+        Alcotest.(check (list (triple int string int)))
+          "(aid, kind, cycles) at each observer call"
+          [
+            (0, "S", 2); (1, "L", 4); (2, "S", 5); (3, "S", 7); (4, "S", 9);
+            (5, "S", 11); (6, "S", 13); (7, "S", 15); (8, "S", 17);
+            (9, "S", 19); (18, "L", 25); (19, "L", 27); (15, "L", 30);
+            (16, "L", 32); (17, "L", 34); (13, "L", 38); (12, "L", 40);
+            (14, "L", 42); (10, "L", 44); (11, "L", 46); (22, "L", 49);
+            (23, "L", 51); (20, "L", 53); (21, "L", 55); (26, "L", 58);
+            (27, "L", 60); (24, "L", 62); (25, "L", 64); (33, "S", 66);
+            (35, "L", 69); (34, "L", 70);
+          ]
+          order);
     Alcotest.test_case "peak memory tracks heap" `Quick (fun () ->
         let p =
           Typecheck.parse_and_check
@@ -268,16 +311,34 @@ let accounting_tests =
         let iters = ref 0 and enters = ref 0 and exits = ref 0 in
         m.Interp.Machine.st.Interp.Machine.loop_hook <-
           Some
-            (fun _lid ev ->
+            (fun _lid ev _ ->
               match ev with
               | Interp.Machine.Enter -> incr enters
-              | Interp.Machine.Iter _ -> incr iters
+              | Interp.Machine.Iter -> incr iters
               | Interp.Machine.Exit -> incr exits);
         ignore (Interp.Machine.run m);
         Alcotest.(check int) "enter once" 1 !enters;
         (* 7 executed iterations plus the trailing failed-condition test *)
         Alcotest.(check int) "8 iter events" 8 !iters;
         Alcotest.(check int) "exit once" 1 !exits);
+    (* int/char/short/pointer values are immediate and loop hooks take
+       the iteration as an int, so a plain run allocates next to
+       nothing per simulated cycle *)
+    Alcotest.test_case "md5 allocation per cycle" `Quick (fun () ->
+        let w = Workloads.Registry.find "md5" in
+        let p =
+          Typecheck.parse_and_check ~file:w.Workloads.Workload.name
+            w.Workloads.Workload.source
+        in
+        let m = Interp.Machine.load p in
+        let w0 = Gc.minor_words () in
+        ignore (Interp.Machine.run m);
+        let words = Gc.minor_words () -. w0 in
+        let cycles = m.Interp.Machine.st.Interp.Machine.cycles in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words <= 0.05 x %d cycles" words cycles)
+          true
+          (words <= 0.05 *. float_of_int cycles));
   ]
 
 (* qcheck property: interpretation of integer arithmetic expressions
@@ -313,6 +374,222 @@ let arith_agrees =
       in
       code = 0 && Int64.of_string out = expected)
 
+(* qcheck property: the same operators at run time. The operands are
+   loads of char/short/int/long variables (globals and register
+   locals) and casts, so nothing folds at load time; the reference
+   evaluates over int64 with C's promotions and truncation, and
+   division or modulo by zero must raise [Runtime_error]. *)
+type rkind = RC | RS | RI | RL
+
+let rbits = function RC -> 8 | RS -> 16 | RI -> 32 | RL -> 64
+
+let rtrunc k v =
+  let s = 64 - rbits k in
+  Int64.shift_right (Int64.shift_left v s) s
+
+let rpromote = function RL -> RL | _ -> RI
+let rjoin a b = if rpromote a = RL || rpromote b = RL then RL else RI
+let rname = function RC -> "char" | RS -> "short" | RI -> "int" | RL -> "long"
+
+exception Ref_div_zero
+
+(* C source, static kind, and a reference evaluator *)
+type rexp = { src : string; kind : rkind; eval : unit -> int64 }
+
+let rvars = [ ("c", RC); ("s", RS); ("i", RI); ("l", RL) ]
+
+(* a C literal for any int64, as a long *)
+let rlit v =
+  if v = Int64.min_int then "(-9223372036854775807L - 1L)"
+  else if v < 0L then Printf.sprintf "(-%LdL)" (Int64.neg v)
+  else Printf.sprintf "%LdL" v
+
+let gen_rvalue k : int64 QCheck.Gen.t =
+  let open QCheck.Gen in
+  let lo = Int64.neg (Int64.shift_left 1L (rbits k - 1)) in
+  let hi = Int64.pred (Int64.neg lo) in
+  let lo = if k = RL then Int64.min_int else lo in
+  let hi = if k = RL then Int64.max_int else hi in
+  map (rtrunc k)
+    (oneof
+       [
+         map Int64.of_int (int_range (-20) 20);
+         oneofl [ lo; hi; -1L; 0L; 1L; 31L; 32L; 63L ];
+         map Int64.of_int int;
+         ui64;
+       ])
+
+(* values of x0/x1 for each kind x, global (0) and local (1) *)
+let gen_renv : (string * rkind * int64) list QCheck.Gen.t =
+  let open QCheck.Gen in
+  flatten_l
+    (List.concat_map
+       (fun (x, k) ->
+         List.map
+           (fun i -> map (fun v -> (Printf.sprintf "%s%d" x i, k, v)) (gen_rvalue k))
+           [ 0; 1 ])
+       rvars)
+
+let rarith op a b =
+  let k = rjoin a.kind b.kind in
+  let bits = rbits k in
+  let f : int64 -> int64 -> int64 =
+    match op with
+    | "+" -> Int64.add
+    | "-" -> Int64.sub
+    | "*" -> Int64.mul
+    | "/" -> fun x y -> if y = 0L then raise Ref_div_zero else Int64.div x y
+    | "%" -> fun x y -> if y = 0L then raise Ref_div_zero else Int64.rem x y
+    | "<<" -> fun x y -> Int64.shift_left x (Int64.to_int y land (bits - 1))
+    | ">>" -> fun x y -> Int64.shift_right x (Int64.to_int y land (bits - 1))
+    | "&" -> Int64.logand
+    | "|" -> Int64.logor
+    | _ -> Int64.logxor
+  in
+  {
+    src = Printf.sprintf "(%s %s %s)" a.src op b.src;
+    kind = k;
+    eval = (fun () -> rtrunc k (f (a.eval ()) (b.eval ())));
+  }
+
+let rcompare op a b =
+  let test : int -> bool =
+    match op with
+    | "<" -> fun c -> c < 0
+    | ">" -> fun c -> c > 0
+    | "<=" -> fun c -> c <= 0
+    | ">=" -> fun c -> c >= 0
+    | "==" -> fun c -> c = 0
+    | _ -> fun c -> c <> 0
+  in
+  {
+    src = Printf.sprintf "(%s %s %s)" a.src op b.src;
+    kind = RI;
+    eval =
+      (fun () -> if test (Int64.compare (a.eval ()) (b.eval ())) then 1L else 0L);
+  }
+
+let rlogical op a b =
+  {
+    src = Printf.sprintf "(%s %s %s)" a.src op b.src;
+    kind = RI;
+    eval =
+      (fun () ->
+        let x = a.eval () <> 0L in
+        let r = if op = "&&" then x && b.eval () <> 0L else x || b.eval () <> 0L in
+        if r then 1L else 0L);
+  }
+
+let runary op a =
+  match op with
+  | "!" ->
+    {
+      src = Printf.sprintf "(!%s)" a.src;
+      kind = RI;
+      eval = (fun () -> if a.eval () = 0L then 1L else 0L);
+    }
+  | "~" ->
+    {
+      src = Printf.sprintf "(~%s)" a.src;
+      kind = a.kind;
+      eval = (fun () -> rtrunc (rpromote a.kind) (Int64.lognot (a.eval ())));
+    }
+  | _ ->
+    {
+      src = Printf.sprintf "(-%s)" a.src;
+      kind = a.kind;
+      eval = (fun () -> rtrunc (rpromote a.kind) (Int64.neg (a.eval ())));
+    }
+
+let rcast k a =
+  {
+    src = Printf.sprintf "((%s)%s)" (rname k) a.src;
+    kind = k;
+    eval = (fun () -> rtrunc k (a.eval ()));
+  }
+
+let rvar (x, k, v) = { src = x; kind = k; eval = (fun () -> v) }
+
+let gen_rexp env : rexp QCheck.Gen.t =
+  let open QCheck.Gen in
+  sized_size (int_range 1 10)
+  @@ fix (fun self n ->
+         if n = 0 then map rvar (oneofl env)
+         else
+           frequency
+             [
+               (1, map rvar (oneofl env));
+               ( 4,
+                 map3 rarith
+                   (oneofl [ "+"; "-"; "*"; "/"; "%"; "<<"; ">>"; "&"; "|"; "^" ])
+                   (self (n / 2)) (self (n / 2)) );
+               ( 2,
+                 map3 rcompare
+                   (oneofl [ "<"; ">"; "<="; ">="; "=="; "!=" ])
+                   (self (n / 2)) (self (n / 2)) );
+               (1, map3 rlogical (oneofl [ "&&"; "||" ]) (self (n / 2)) (self (n / 2)));
+               (1, map2 runary (oneofl [ "-"; "~"; "!" ]) (self (n - 1)));
+               (1, map2 rcast (oneofl [ RC; RS; RI; RL ]) (self (n - 1)));
+             ])
+
+(* the program for an environment and an expression, and whether the
+   interpreter agrees with the reference on it *)
+let runtime_program env (e : rexp) =
+  let globals =
+    List.filter_map
+      (fun (x, k, _) ->
+        if x.[1] = '0' then Some (Printf.sprintf "%s %s;" (rname k) x) else None)
+      env
+  in
+  let inits =
+    List.map
+      (fun (x, k, v) ->
+        if x.[1] = '0' then Printf.sprintf "%s = %s;" x (rlit v)
+        else Printf.sprintf "%s %s = %s;" (rname k) x (rlit v))
+      env
+  in
+  Printf.sprintf "%s\nint main(void){ %s\n  printf(\"%%d\", %s);\n  return 0; }"
+    (String.concat " " globals) (String.concat " " inits) e.src
+
+let runtime_agrees (env, e) =
+  let expected = try Some (e.eval ()) with Ref_div_zero -> None in
+  match (run (runtime_program env e), expected) with
+  | (code, out), Some v -> code = 0 && Int64.of_string out = v
+  | exception Interp.Machine.Runtime_error _ -> expected = None
+  | _, None -> false
+
+let runtime_arith_agrees =
+  QCheck.Test.make ~count:300
+    ~name:"run-time arithmetic on variables agrees with reference"
+    (QCheck.make
+       QCheck.Gen.(gen_renv >>= fun env -> map (fun e -> (env, e)) (gen_rexp env))
+       ~print:(fun (env, e) -> runtime_program env e))
+    runtime_agrees
+
+(* The corners the property may not draw: INT_MIN / -1 wraps, LONG_MIN
+   / -1 stays LONG_MIN, and a zero divisor raises. *)
+let runtime_corner_tests =
+  let env =
+    [
+      ("c0", RC, -128L); ("c1", RC, -1L); ("s0", RS, -32768L); ("s1", RS, 0L);
+      ("i0", RI, -2147483648L); ("i1", RI, -1L); ("l0", RL, Int64.min_int);
+      ("l1", RL, -1L);
+    ]
+  in
+  let v x = rvar (List.find (fun (y, _, _) -> y = x) env) in
+  List.map
+    (fun (name, e) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check bool) (runtime_program env e) true (runtime_agrees (env, e))))
+    [
+      ("INT_MIN / -1", rarith "/" (v "i0") (v "i1"));
+      ("INT_MIN % -1", rarith "%" (v "i0") (v "i1"));
+      ("LONG_MIN / -1", rarith "/" (v "l0") (v "l1"));
+      ("char -128 / -1", rarith "/" (v "c0") (v "c1"));
+      ("division by zero", rarith "/" (v "i0") (v "s1"));
+      ("modulo by zero", rarith "%" (v "l0") (v "s1"));
+    ]
+
 let () =
   Alcotest.run "interp"
     [
@@ -321,5 +598,10 @@ let () =
       ("control", control_tests);
       ("failures", failure_tests);
       ("accounting", accounting_tests);
-      ("properties", [ QCheck_alcotest.to_alcotest arith_agrees ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest arith_agrees;
+          QCheck_alcotest.to_alcotest runtime_arith_agrees;
+        ] );
+      ("run-time corners", runtime_corner_tests);
     ]

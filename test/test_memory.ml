@@ -181,7 +181,9 @@ let fault_tests =
           (Interp.Memory.find_block m (a + 17) = None));
   ]
 
-(* store/load roundtrip law over random values and widths *)
+(* store/load roundtrip law over random values and widths, for the
+   int64 and the immediate-int accessors: [load_int] faults on an
+   8-byte value that does not fit in 63 bits *)
 let roundtrip_law =
   QCheck.Test.make ~count:300 ~name:"store/load roundtrip with truncation"
     QCheck.(pair int64 (oneofl [ 1; 2; 4; 8 ]))
@@ -195,7 +197,18 @@ let roundtrip_law =
         if bits = 64 then v
         else Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits)
       in
-      Int64.equal back expected)
+      let fits = Int64.equal (Int64.of_int (Int64.to_int expected)) expected in
+      let back_int =
+        match Interp.Memory.load_int m a width with
+        | i -> Some i
+        | exception Interp.Memory.Fault _ -> None
+      in
+      Interp.Memory.store_int m a width (Int64.to_int v);
+      let back_stored = Interp.Memory.load m a width in
+      Int64.equal back expected
+      && back_int = (if fits then Some (Int64.to_int expected) else None)
+      && Int64.equal back_stored
+           (if bits = 64 then Int64.of_int (Int64.to_int v) else expected))
 
 let () =
   Alcotest.run "memory"

@@ -82,6 +82,17 @@ let static_checks (w : Workloads.Workload.t) () =
     true
     (float_of_int prof_loop > 0.66 *. float_of_int total)
 
+(* bench/BASELINE.json, readable from the test directory (dune
+   runtest) or the repository root *)
+let baseline_cycles key =
+  let file =
+    if Sys.file_exists "bench/BASELINE.json" then "bench/BASELINE.json"
+    else "../bench/BASELINE.json"
+  in
+  match Harness.History.load ~file with
+  | [ e ] -> int_of_float (List.assoc key e.Harness.History.h_metrics)
+  | es -> Alcotest.failf "expected one pinned entry, got %d" (List.length es)
+
 let end_to_end (w : Workloads.Workload.t) () =
   let p, _, analyses = load w in
   let _, out0 = Interp.Machine.run_program p in
@@ -97,7 +108,12 @@ let end_to_end (w : Workloads.Workload.t) () =
   let pr =
     Parexec.Sim.run_parallel res.Expand.Transform.transformed specs ~threads:8
   in
-  Alcotest.(check string) "parallel output" out0 pr.Parexec.Sim.pr_output
+  Alcotest.(check string) "parallel output" out0 pr.Parexec.Sim.pr_output;
+  (* the simulated total depends on the order in which the cache model
+     and DOACROSS post/wait see every access and its cycle offset *)
+  Alcotest.(check int) "par_total@8 as in bench/BASELINE.json"
+    (baseline_cycles (w.Workloads.Workload.name ^ "/cycles/par_total@8"))
+    pr.Parexec.Sim.pr_total
 
 let () =
   let static_cases =
