@@ -303,20 +303,23 @@ let write_json file json =
   output_char oc '\n';
   close_out oc
 
-(* Fault-free supervision overhead: the supervised executor may cost
-   at most 5% (plus 2 ms of fixed slack, for sub-millisecond loops)
-   over the raw one on the same domain count, both medians of the same
-   repeat count. Part of --compare, so an expensive supervisor counts
-   as a regression. *)
-let supervisor_overhead_check (benches : Harness.Bench_run.t list) : int =
-  let repeats = 3 in
-  (* force:true — the parallel scheduler path is what is being costed,
-     and it is correct (just not faster) on any core count *)
+(* The overhead gates below compare one executor configuration with
+   the raw executor on 2 forced domains (force:true: the parallel
+   scheduler path is what is being costed, and it is correct, just not
+   faster, on any core count). The extra configuration may cost at
+   most 5% plus 2 ms of fixed slack, for sub-millisecond loops, over
+   the raw one. Repeats interleave the two sides and alternate which
+   runs first, and each side keeps its minimum: host noise drifts over
+   seconds, so back-to-back batches would compare two different
+   machines, and always running one side first would hand it the state
+   the previous pair left. The minimum is each side's least-disturbed
+   run. Returns the number of regressed workloads. *)
+let overhead_gate ~title ~label ~repeats (benches : Harness.Bench_run.t list)
+    (extra : Minic.Ast.program -> Expand.Plan.t -> Minic.Ast.lid list -> float)
+    : int =
   let domains = 2 in
   let regressions = ref 0 in
-  Printf.printf
-    "\n== supervisor overhead (fault-free, domains=%d, limit +5%% / +2 ms) ==\n"
-    domains;
+  Printf.printf "\n== %s (domains=%d, limit +5%% / +2 ms) ==\n" title domains;
   List.iter
     (fun (b : Harness.Bench_run.t) ->
       let prog = b.Harness.Bench_run.expanded.Expand.Transform.transformed in
@@ -326,87 +329,50 @@ let supervisor_overhead_check (benches : Harness.Bench_run.t list) : int =
         (Domexec.Exec.run ~domains ~force:true prog plan lids)
           .Domexec.Exec.dx_wall_ns
       in
-      let sup_run () =
-        match
-          (Domexec.Supervisor.run ~domains ~force:true prog plan lids)
-            .Domexec.Supervisor.sup_result
-        with
-        | Some r -> r.Domexec.Exec.dx_wall_ns
-        | None -> infinity
-      in
-      (* interleave the pairs and take minima: host noise drifts over
-         seconds, so back-to-back batches would compare two different
-         machines; the min of N is the least-disturbed run of each *)
-      let raw = ref infinity and sup = ref infinity in
-      for _ = 1 to repeats do
-        raw := Float.min !raw (raw_run ());
-        sup := Float.min !sup (sup_run ())
+      let ext_run () = extra prog plan lids in
+      let raw = ref infinity and ext = ref infinity in
+      let take r f = r := Float.min !r (f ()) in
+      for k = 1 to repeats do
+        if k mod 2 = 1 then begin
+          take raw raw_run;
+          take ext ext_run
+        end
+        else begin
+          take ext ext_run;
+          take raw raw_run
+        end
       done;
-      let raw = !raw and sup = !sup in
-      let limit = (raw *. 1.05) +. 2e6 in
-      let worse = sup > limit in
+      let raw = !raw and delta = !ext -. !raw in
+      let worse = delta > (raw *. 0.05) +. 2e6 in
       if worse then incr regressions;
-      Printf.printf "%-16s raw %8.2f ms, supervised %8.2f ms  %+6.1f%%%s\n"
-        (bench_name b) (raw /. 1e6) (sup /. 1e6)
-        ((sup /. raw -. 1.) *. 100.)
-        (if worse then "  REGRESSION" else ""))
-    benches;
-  !regressions
-
-(* Ring instrumentation overhead: a domain run with a Domtrace recorder
-   attached may cost at most 5% (plus 2 ms of fixed slack, for
-   sub-millisecond loops) over an untraced run on the same domain
-   count. Part of --compare, so the always-available observability
-   path can never quietly become expensive. *)
-let domtrace_overhead_check (benches : Harness.Bench_run.t list) : int =
-  let repeats = 5 in
-  (* force:true — same rationale as the supervisor check: the parallel
-     scheduler path is what emits events, and it is correct on any
-     core count *)
-  let domains = 2 in
-  let regressions = ref 0 in
-  Printf.printf
-    "\n== domtrace ring overhead (domains=%d, limit +5%% / +2 ms) ==\n" domains;
-  List.iter
-    (fun (b : Harness.Bench_run.t) ->
-      let prog = b.Harness.Bench_run.expanded.Expand.Transform.transformed in
-      let plan = b.Harness.Bench_run.expanded.Expand.Transform.plan in
-      let lids = b.Harness.Bench_run.lids in
-      let raw_run () =
-        (Domexec.Exec.run ~domains ~force:true prog plan lids)
-          .Domexec.Exec.dx_wall_ns
-      in
-      let traced_run () =
-        let tr = Domexec.Domtrace.create () in
-        (Domexec.Exec.run ~domains ~force:true ~trace:tr prog plan lids)
-          .Domexec.Exec.dx_wall_ns
-      in
-      (* Paired deltas, not independent minima: this check runs at the
-         end of a long process whose heap state drifts and whose host
-         sees multi-second noise bursts, so the two configurations'
-         minima can come from different machines, effectively. Two
-         back-to-back runs share host state, so the per-pair delta
-         cancels the drift; the min over pairs is the least-disturbed
-         estimate of what tracing itself costs. Compact before each
-         pair so neither member pays the previous pair's GC debt. *)
-      let raw = ref infinity and delta = ref infinity in
-      for _ = 1 to repeats do
-        Gc.compact ();
-        let r = raw_run () in
-        let t = traced_run () in
-        raw := Float.min !raw r;
-        delta := Float.min !delta (t -. r)
-      done;
-      let raw = !raw and delta = !delta in
-      let limit = (raw *. 0.05) +. 2e6 in
-      let worse = delta > limit in
-      if worse then incr regressions;
-      Printf.printf "%-16s raw %8.2f ms, tracing delta %+8.2f ms  %+6.1f%%%s\n"
-        (bench_name b) (raw /. 1e6) (delta /. 1e6)
+      Printf.printf "%-16s raw %8.2f ms, %s delta %+8.2f ms  %+6.1f%%%s\n"
+        (bench_name b) (raw /. 1e6) label (delta /. 1e6)
         (delta /. raw *. 100.)
         (if worse then "  REGRESSION" else ""))
     benches;
   !regressions
+
+(* Fault-free supervision overhead. Part of --compare, so an expensive
+   supervisor counts as a regression. *)
+let supervisor_overhead_check benches =
+  overhead_gate ~title:"supervisor overhead, fault-free" ~label:"supervision"
+    ~repeats:3 benches (fun prog plan lids ->
+      match
+        (Domexec.Supervisor.run ~domains:2 ~force:true prog plan lids)
+          .Domexec.Supervisor.sup_result
+      with
+      | Some r -> r.Domexec.Exec.dx_wall_ns
+      | None -> infinity)
+
+(* Ring instrumentation overhead: a run with a Domtrace recorder
+   attached. Part of --compare, so the always-available observability
+   path can never quietly become expensive. *)
+let domtrace_overhead_check benches =
+  overhead_gate ~title:"domtrace ring overhead" ~label:"tracing" ~repeats:5
+    benches (fun prog plan lids ->
+      let tr = Domexec.Domtrace.create () in
+      (Domexec.Exec.run ~domains:2 ~force:true ~trace:tr prog plan lids)
+        .Domexec.Exec.dx_wall_ns)
 
 let () =
   let argv = Array.to_list Sys.argv in

@@ -94,17 +94,17 @@ let loop_sites (prog : Ast.program) (loop_stmt : Ast.stmt) : Graph.site list =
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every byte the loop touches has a shadow in a 4 KiB page of ints,
-   allocated on first in-loop access: its last in-loop writer (aid, -1
-   when none since the last out-of-loop store or free), that write's
-   iteration and invocation, and the head of its reader set (-1 when
-   empty).
+(* Every byte the loop touches has a shadow in a page of the shared
+   {!Interp.Shadow} memory, allocated on first in-loop access: its
+   last in-loop writer (aid, -1 when none since the last out-of-loop
+   store or free), that write's iteration and invocation, and the head
+   of its reader set (-1 when empty).
 
    The per-access path allocates nothing: its helpers are top-level
    functions over ints (a local closure would be allocated on every
    call), and the small ones are inlined. *)
-let page_bits = 12
-let page_mask = (1 lsl page_bits) - 1
+let page_mask = Interp.Shadow.page_mask
+let no_page = Interp.Shadow.no_page
 let f_writer = 0
 let f_iter = 1
 let f_inv = 2
@@ -122,41 +122,19 @@ let n_next = 4
 let node_fields = 5
 
 type shadow = {
-  mutable pages : int array array;  (** [[||]]: never touched in-loop *)
+  bytes : Interp.Shadow.t;
   mutable nodes : int array;
   mutable free : int;  (** first free node, -1 when none *)
   mutable fresh : int;  (** first never-used node *)
 }
 
-let no_page : int array = [||]
-
 let shadow_create () =
   {
-    pages = Array.make 1024 no_page;
+    bytes = Interp.Shadow.create ~fields:byte_fields ~init:(-1);
     nodes = Array.make (node_fields * 1024) 0;
     free = -1;
     fresh = 0;
   }
-
-(* The shadow page of [addr], or [no_page]. *)
-let[@inline] find_page sh addr =
-  let i = addr lsr page_bits in
-  if i < Array.length sh.pages then sh.pages.(i) else no_page
-
-let new_page sh i =
-  if i >= Array.length sh.pages then begin
-    let dir = Array.make (2 * (i + 1)) no_page in
-    Array.blit sh.pages 0 dir 0 (Array.length sh.pages);
-    sh.pages <- dir
-  end;
-  let p = Array.make (byte_fields lsl page_bits) (-1) in
-  sh.pages.(i) <- p;
-  p
-
-(* The shadow page of [addr], allocated if need be. *)
-let[@inline] page sh addr =
-  let p = find_page sh addr in
-  if p != no_page then p else new_page sh (addr lsr page_bits)
 
 let alloc_node sh =
   if sh.free >= 0 then begin
@@ -384,40 +362,42 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
       end;
       let iter = !cur_iter and inv = !cur_inv in
       (* fetch the page again where the access crosses into the next *)
-      let p = ref (page sh addr) in
+      let p = ref (Interp.Shadow.page sh.bytes addr) in
       match kind with
       | Visit.Load ->
         for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := page sh a;
+          if a land page_mask = 0 then p := Interp.Shadow.page sh.bytes a;
           load_byte aid site iter inv !p ((a land page_mask) * byte_fields)
         done
       | Visit.Store ->
         for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := page sh a;
+          if a land page_mask = 0 then p := Interp.Shadow.page sh.bytes a;
           store_byte aid iter inv !p ((a land page_mask) * byte_fields)
         done
     end
     else begin
+      (* the same walk, but never allocating a page *)
+      let p = ref (Interp.Shadow.find_page sh.bytes addr) in
       match kind with
       | Visit.Load ->
         for a = addr to addr + size - 1 do
-          let p = find_page sh a in
-          if p != no_page then begin
-            let w = p.(((a land page_mask) * byte_fields) + f_writer) in
+          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
+          if !p != no_page then begin
+            let w = !p.(((a land page_mask) * byte_fields) + f_writer) in
             if w >= 0 then mark_down w
           end
         done
       | Visit.Store ->
         for a = addr to addr + size - 1 do
-          let p = find_page sh a in
-          if p != no_page then begin
+          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
+          if !p != no_page then begin
             let o = (a land page_mask) * byte_fields in
-            let w = p.(o + f_writer) in
+            let w = !p.(o + f_writer) in
             (* overwriting an in-loop value that was never read after
                the loop: a loop-boundary output dependence *)
             if w >= 0 then mark_killed w;
-            p.(o + f_writer) <- -1;
-            clear_readers sh p o
+            !p.(o + f_writer) <- -1;
+            clear_readers sh !p o
           end
         done
     end
@@ -431,12 +411,13 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
   st.Interp.Machine.free_hook <-
     Some
       (fun base size ->
+        let p = ref (Interp.Shadow.find_page sh.bytes base) in
         for a = base to base + size - 1 do
-          let p = find_page sh a in
-          if p != no_page then begin
+          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
+          if !p != no_page then begin
             let o = (a land page_mask) * byte_fields in
-            p.(o + f_writer) <- -1;
-            clear_readers sh p o
+            !p.(o + f_writer) <- -1;
+            clear_readers sh !p o
           end
         done);
   let exit_code = Interp.Machine.run m in

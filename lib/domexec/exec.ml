@@ -92,9 +92,10 @@ let rec iter_stmts f (s : Ast.stmt) =
 (* Access ids participating in basic induction updates [x = x +/- c],
    anywhere in the program: the store, and the load of [x] on the
    right-hand side. Such loads are benign wherever they occur — they
-   read only the value the same update wrote. *)
-let induction_update_aids (prog : Ast.program) =
-  let stores = Hashtbl.create 32 and loads = Hashtbl.create 32 in
+   read only the value the same update wrote. Two aid-indexed tables
+   over [n] aids, stores then loads. *)
+let induction_update_aids (prog : Ast.program) ~n =
+  let stores = Array.make n false and loads = Array.make n false in
   let scan s =
     match s.Ast.skind with
     | Ast.Sassign (aid, Ast.Var x, e) -> (
@@ -104,13 +105,13 @@ let induction_update_aids (prog : Ast.program) =
             Ast.Lval (la, Ast.Var y),
             Ast.Const (Ast.Cint _) )
         when String.equal x y ->
-        Hashtbl.replace stores aid ();
-        Hashtbl.replace loads la ()
+        stores.(aid) <- true;
+        loads.(la) <- true
       | Ast.Binop
           (Ast.Add, Ast.Const (Ast.Cint _), Ast.Lval (la, Ast.Var y))
         when String.equal x y ->
-        Hashtbl.replace stores aid ();
-        Hashtbl.replace loads la ()
+        stores.(aid) <- true;
+        loads.(la) <- true
       | _ -> ())
     | _ -> ()
   in
@@ -153,15 +154,13 @@ let has_return (s : Ast.stmt) =
   !found
 
 type loop_static = {
-  ls_step_aids : (Ast.aid, unit) Hashtbl.t;
+  ls_step_aids : Ast.aid list;
   ls_early_exit : string option;  (** why the loop may exit early *)
 }
 
 let loop_static_of prog lid : loop_static =
-  let step_aids = Hashtbl.create 8 in
-  let early = ref None in
-  (match Visit.find_loop_fun prog lid with
-  | None -> ()
+  match Visit.find_loop_fun prog lid with
+  | None -> { ls_step_aids = []; ls_early_exit = None }
   | Some (_, loop) ->
     let step, body =
       match loop.Ast.skind with
@@ -169,13 +168,15 @@ let loop_static_of prog lid : loop_static =
       | Ast.Swhile (_, _, body) -> (Ast.skip, body)
       | _ -> (Ast.skip, Ast.skip)
     in
-    List.iter
-      (fun a -> Hashtbl.replace step_aids a.Visit.acc_aid ())
-      (Visit.accesses_of_stmt step);
-    if has_toplevel_break body then early := Some "the loop body may break";
-    if has_return body then
-      early := Some "the loop body may return from the function");
-  { ls_step_aids = step_aids; ls_early_exit = !early }
+    {
+      ls_step_aids =
+        List.map (fun a -> a.Visit.acc_aid) (Visit.accesses_of_stmt step);
+      ls_early_exit =
+        (if has_return body then
+           Some "the loop body may return from the function"
+         else if has_toplevel_break body then Some "the loop body may break"
+         else None);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Distribution-safety pre-pass                                        *)
@@ -195,12 +196,32 @@ type prepass = {
   pp_iters : (Ast.lid, int) Hashtbl.t;
 }
 
+(* The pre-pass run itself, kept apart from [prepass] so that the
+   distributed path, whose hooks hold the decisions, does not keep
+   the machine alive. *)
+type pre_run = {
+  pr_machine : Interp.Machine.t;  (** hooks cleared *)
+  pr_exit : int;
+  pr_wall_ns : float;
+}
+
+(* The shadow of an 8-byte granule: the invocation epoch of its last
+   store and that store's iteration, and the epoch of its last body
+   store. Epochs count invocations from 1 and fresh pages hold 0, so
+   a granule whose epoch is not the running invocation's was not
+   stored to by it: the shadow is never cleared. *)
+let g_store = 0
+let g_iter = 1
+let g_body = 2
+let granule_fields = 3
+
 type pre_active = {
   pa_lid : Ast.lid;
   pa_inv : int;
+  pa_epoch : int;
+  pa_step : bool array;  (** aid-indexed: the loop's step accesses *)
   mutable pa_iter : int;
-  pa_shadow : (int, int) Hashtbl.t;  (** 8-byte granule -> last writer *)
-  pa_body_written : (int, unit) Hashtbl.t;  (** granules stored by the body *)
+  mutable pa_live : bool;  (** still distributed; [demote] clears it *)
   pa_stepv : (int, unit) Hashtbl.t;  (** induction vars advanced in the step *)
   pa_bodyv : (int, int) Hashtbl.t;  (** induction vars advanced in the body *)
   pa_otherload : (int, unit) Hashtbl.t;
@@ -209,17 +230,42 @@ type pre_active = {
 }
 
 let prepass ~(prog : Ast.program) ~(induction : bool array)
-    ~(lids : Ast.lid list) ~(domains : int) : prepass =
+    ~(lids : Ast.lid list) ~(domains : int) : prepass * pre_run =
   let decisions = Hashtbl.create 8 in
   let invs = Hashtbl.create 16 in
   let inv_count = Hashtbl.create 8 in
   let iters = Hashtbl.create 8 in
-  let statics = Hashtbl.create 8 in
-  let upd_stores, upd_loads = induction_update_aids prog in
+  let m = Interp.Machine.load prog in
+  let st = m.Interp.Machine.st in
+  Interp.Machine.set_global_int st Expand.Names.nthreads domains;
+  (* loading stamps the formals' aids, so every aid the run reports is
+     below [next_aid] from here on *)
+  let n_aids = prog.Ast.next_aid in
+  let upd_stores, upd_loads = induction_update_aids prog ~n:n_aids in
+  let n_lids = List.fold_left (fun n lid -> max n (lid + 1)) 0 lids in
+  let targets = Array.make n_lids false in
+  let steps = Array.make n_lids [||] in
+  (* no active loop: never live, and no lid is -1 *)
+  let idle =
+    {
+      pa_lid = -1;
+      pa_inv = 0;
+      pa_epoch = 0;
+      pa_step = [||];
+      pa_iter = 0;
+      pa_live = false;
+      pa_stepv = Hashtbl.create 1;
+      pa_bodyv = Hashtbl.create 1;
+      pa_otherload = Hashtbl.create 1;
+      pa_rand0 = 0L;
+    }
+  in
+  let active = ref idle in
   let demote lid why =
-    match Hashtbl.find_opt decisions lid with
+    (match Hashtbl.find_opt decisions lid with
     | Some Distributed -> Hashtbl.replace decisions lid (Replicated why)
-    | _ -> ()
+    | _ -> ());
+    if !active.pa_lid = lid then !active.pa_live <- false
   in
   List.iter
     (fun lid ->
@@ -227,128 +273,127 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
       Hashtbl.replace inv_count lid 0;
       Hashtbl.replace iters lid 0;
       let ls = loop_static_of prog lid in
-      Hashtbl.replace statics lid ls;
+      let step = Array.make n_aids false in
+      List.iter (fun aid -> step.(aid) <- true) ls.ls_step_aids;
+      targets.(lid) <- true;
+      steps.(lid) <- step;
       match ls.ls_early_exit with
       | Some why -> demote lid why
       | None -> ())
     lids;
-  let m = Interp.Machine.load prog in
-  let st = m.Interp.Machine.st in
-  Interp.Machine.set_global_int st Expand.Names.nthreads domains;
-  let active : pre_active option ref = ref None in
-  (* the active loop's lid always has a decision *)
-  let live pa =
-    match Hashtbl.find decisions pa.pa_lid with
-    | Distributed -> true
-    | Replicated _ -> false
+  let sh = Interp.Shadow.create ~fields:granule_fields ~init:0 in
+  let epoch = ref 0 in
+  let stacky a =
+    a >= st.Interp.Machine.stack_base && a < st.Interp.Machine.stack_limit
   in
   let on_store pa ~is_step addr size =
-    let g0 = addr lsr 3 and g1 = (addr + size - 1) lsr 3 in
-    for g = g0 to g1 do
-      Hashtbl.replace pa.pa_shadow g pa.pa_iter;
-      if not is_step then Hashtbl.replace pa.pa_body_written g ()
+    for g = addr lsr 3 to (addr + size - 1) lsr 3 do
+      let p = Interp.Shadow.page sh g in
+      let o = (g land Interp.Shadow.page_mask) * granule_fields in
+      p.(o + g_store) <- pa.pa_epoch;
+      p.(o + g_iter) <- pa.pa_iter;
+      if not is_step then p.(o + g_body) <- pa.pa_epoch
     done
   in
   let on_load pa ~is_step addr size =
-    let g0 = addr lsr 3 and g1 = (addr + size - 1) lsr 3 in
-    for g = g0 to g1 do
-      (match Hashtbl.find_opt pa.pa_shadow g with
-      | Some j when j <> pa.pa_iter ->
-        demote pa.pa_lid "loop-carried flow dependence"
-      | _ -> ());
-      (* the step runs on every machine, so it must not read values
-         produced by bodies that machine did not execute *)
-      if is_step && Hashtbl.mem pa.pa_body_written g then
-        demote pa.pa_lid "the step reads data written by the loop body"
+    for g = addr lsr 3 to (addr + size - 1) lsr 3 do
+      let p = Interp.Shadow.find_page sh g in
+      if p != Interp.Shadow.no_page then begin
+        let o = (g land Interp.Shadow.page_mask) * granule_fields in
+        if p.(o + g_store) = pa.pa_epoch && p.(o + g_iter) <> pa.pa_iter then
+          demote pa.pa_lid "loop-carried flow dependence";
+        (* the step runs on every machine, so it must not read values
+           produced by bodies that machine did not execute *)
+        if is_step && p.(o + g_body) = pa.pa_epoch then
+          demote pa.pa_lid "the step reads data written by the loop body"
+      end
     done
   in
   st.Interp.Machine.observer <-
     Some
       (fun aid kind addr size ->
-        match !active with
-        | Some pa when live pa ->
-          if
-            addr >= st.Interp.Machine.stack_base
-            && addr < st.Interp.Machine.stack_limit
-          then ()
-          else begin
-            let ls = Hashtbl.find statics pa.pa_lid in
-            let is_step = Hashtbl.mem ls.ls_step_aids aid in
-            if is_induction induction aid then
-              match kind with
-              | Visit.Store ->
-                if is_step then Hashtbl.replace pa.pa_stepv addr ()
-                else if Hashtbl.mem upd_stores aid then
-                  Hashtbl.replace pa.pa_bodyv addr size
-                else
-                  demote pa.pa_lid
-                    "induction store outside the x = x +/- c shape"
-              | Visit.Load ->
-                if Hashtbl.mem upd_loads aid then ()
-                else Hashtbl.replace pa.pa_otherload addr ()
-            else
-              match kind with
-              | Visit.Store -> on_store pa ~is_step addr size
-              | Visit.Load -> on_load pa ~is_step addr size
+        let pa = !active in
+        if pa.pa_live && not (stacky addr) then begin
+          let is_step = pa.pa_step.(aid) in
+          if is_induction induction aid then begin
+            match kind with
+            | Visit.Store ->
+              if is_step then Hashtbl.replace pa.pa_stepv addr ()
+              else if upd_stores.(aid) then
+                Hashtbl.replace pa.pa_bodyv addr size
+              else
+                demote pa.pa_lid
+                  "induction store outside the x = x +/- c shape"
+            | Visit.Load ->
+              if not upd_loads.(aid) then
+                Hashtbl.replace pa.pa_otherload addr ()
           end
-        | _ -> ());
+          else
+            match kind with
+            | Visit.Store -> on_store pa ~is_step addr size
+            | Visit.Load -> on_load pa ~is_step addr size
+        end);
   st.Interp.Machine.bulk_hook <-
     Some
       (fun dst src len ->
-        match !active with
-        | Some pa when live pa && len > 0 ->
-          let stacky a =
-            a >= st.Interp.Machine.stack_base
-            && a < st.Interp.Machine.stack_limit
-          in
+        let pa = !active in
+        if pa.pa_live && len > 0 then begin
           (match src with
           | Some s when not (stacky s) -> on_load pa ~is_step:false s len
           | _ -> ());
           if not (stacky dst) then on_store pa ~is_step:false dst len
-        | _ -> ());
+        end);
+  (* a builtin's string read is a body load like any other *)
+  st.Interp.Machine.read_hook <-
+    Some
+      (fun addr len ->
+        let pa = !active in
+        if pa.pa_live && not (stacky addr) then
+          on_load pa ~is_step:false addr len);
   st.Interp.Machine.alloc_hook <-
     Some
       (fun _ _ _ ->
-        match !active with
-        | Some pa -> demote pa.pa_lid "allocates inside the loop body"
-        | None -> ());
+        if !active != idle then
+          demote !active.pa_lid "allocates inside the loop body");
   st.Interp.Machine.free_hook <-
     Some
       (fun _ _ ->
-        match !active with
-        | Some pa -> demote pa.pa_lid "frees inside the loop body"
-        | None -> ());
+        if !active != idle then
+          demote !active.pa_lid "frees inside the loop body");
   st.Interp.Machine.loop_hook <-
     Some
       (fun lid ev i ->
-        if Hashtbl.mem decisions lid then
+        if lid < n_lids && targets.(lid) then
           match ev with
-          | Interp.Machine.Enter -> (
-            match !active with
-            | Some _ -> demote lid "nested inside another parallelized loop"
-            | None ->
-              let inv = Hashtbl.find inv_count lid in
+          | Interp.Machine.Enter ->
+            if !active != idle then
+              demote lid "nested inside another parallelized loop"
+            else begin
+              incr epoch;
               active :=
-                Some
-                  {
-                    pa_lid = lid;
-                    pa_inv = inv;
-                    pa_iter = 0;
-                    pa_shadow = Hashtbl.create 256;
-                    pa_body_written = Hashtbl.create 256;
-                    pa_stepv = Hashtbl.create 4;
-                    pa_bodyv = Hashtbl.create 4;
-                    pa_otherload = Hashtbl.create 4;
-                    pa_rand0 = st.Interp.Machine.rand_state;
-                  })
-          | Interp.Machine.Iter -> (
-            match !active with
-            | Some pa when pa.pa_lid = lid -> pa.pa_iter <- i
-            | _ -> ())
-          | Interp.Machine.Exit -> (
-            match !active with
-            | Some pa when pa.pa_lid = lid ->
-              if live pa then begin
+                {
+                  pa_lid = lid;
+                  pa_inv = Hashtbl.find inv_count lid;
+                  pa_epoch = !epoch;
+                  pa_step = steps.(lid);
+                  pa_iter = 0;
+                  pa_live =
+                    (match Hashtbl.find decisions lid with
+                    | Distributed -> true
+                    | Replicated _ -> false);
+                  pa_stepv = Hashtbl.create 4;
+                  pa_bodyv = Hashtbl.create 4;
+                  pa_otherload = Hashtbl.create 4;
+                  pa_rand0 = st.Interp.Machine.rand_state;
+                }
+            end
+          | Interp.Machine.Iter ->
+            let pa = !active in
+            if pa.pa_lid = lid then pa.pa_iter <- i
+          | Interp.Machine.Exit ->
+            let pa = !active in
+            if pa.pa_lid = lid then begin
+              if pa.pa_live then begin
                 if st.Interp.Machine.rand_state <> pa.pa_rand0 then
                   demote lid "rand() advances inside the loop";
                 Hashtbl.iter
@@ -363,7 +408,7 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
                       demote lid "induction value read outside its own update")
                   pa.pa_otherload
               end;
-              if live pa then begin
+              if pa.pa_live then begin
                 let deltas =
                   Hashtbl.fold (fun a s acc -> (a, s) :: acc) pa.pa_bodyv []
                   |> List.sort compare |> Array.of_list
@@ -372,22 +417,28 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
                   { ip_trip = pa.pa_iter; ip_deltas = deltas }
               end;
               Hashtbl.replace inv_count lid (pa.pa_inv + 1);
-              Hashtbl.replace iters lid
-                (Hashtbl.find iters lid + pa.pa_iter);
-              active := None
-            | _ -> ()))
-      ;
-  (try ignore (Interp.Machine.run m)
-   with Interp.Machine.Exit_program _ -> ());
-  (match !active with
-  | Some pa -> demote pa.pa_lid "the program exits inside the loop"
-  | None -> ());
-  {
-    pp_decisions = decisions;
-    pp_invs = invs;
-    pp_inv_count = inv_count;
-    pp_iters = iters;
-  }
+              Hashtbl.replace iters lid (Hashtbl.find iters lid + pa.pa_iter);
+              active := idle
+            end);
+  let t0 = Unix.gettimeofday () in
+  let code = Interp.Machine.run m in
+  let wall = (Unix.gettimeofday () -. t0) *. 1e9 in
+  if !active != idle then
+    demote !active.pa_lid "the program exits inside the loop";
+  (* the machine may be the run's result: it keeps no pre-pass state *)
+  st.Interp.Machine.observer <- None;
+  st.Interp.Machine.bulk_hook <- None;
+  st.Interp.Machine.read_hook <- None;
+  st.Interp.Machine.alloc_hook <- None;
+  st.Interp.Machine.free_hook <- None;
+  st.Interp.Machine.loop_hook <- None;
+  ( {
+      pp_decisions = decisions;
+      pp_invs = invs;
+      pp_inv_count = inv_count;
+      pp_iters = iters;
+    },
+    { pr_machine = m; pr_exit = code; pr_wall_ns = wall } )
 
 (* ------------------------------------------------------------------ *)
 (* Write logs                                                          *)
@@ -511,6 +562,26 @@ let chunk_size ~override ~trip ~domains =
   | Some k -> max 1 k
   | None -> max 1 (ceil_div trip (4 * domains))
 
+(* A run on one machine with no scheduler: the fallback when only one
+   domain may be used, and the pre-pass run itself when no loop
+   iteration distributes. *)
+let sequential_result ~requested ~why ~loops (m : Interp.Machine.t) ~code
+    ~wall : result =
+  {
+    dx_exit = code;
+    dx_output = Interp.Machine.output m.Interp.Machine.st;
+    dx_requested = requested;
+    dx_domains = 1;
+    dx_wall_ns = wall;
+    dx_steals = 0;
+    dx_steal_lost = 0;
+    dx_chunks_run = [| 0 |];
+    dx_merges = 0;
+    dx_loops = loops;
+    dx_fallback = Some why;
+    dx_machine = m;
+  }
+
 let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     (plan : Expand.Plan.t) (lids : Ast.lid list) : result =
   let requested =
@@ -524,30 +595,16 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
   in
   match fallback with
   | Some why ->
-    (* Sequential fallback: one machine, one copy, no scheduler. *)
     let m = Interp.Machine.load prog in
     Interp.Machine.set_global_int m.Interp.Machine.st Expand.Names.nthreads 1;
     let t0 = Unix.gettimeofday () in
     let code = Interp.Machine.run m in
     let wall = (Unix.gettimeofday () -. t0) *. 1e9 in
-    {
-      dx_exit = code;
-      dx_output = Interp.Machine.output m.Interp.Machine.st;
-      dx_requested = requested;
-      dx_domains = 1;
-      dx_wall_ns = wall;
-      dx_steals = 0;
-      dx_steal_lost = 0;
-      dx_chunks_run = [| 0 |];
-      dx_merges = 0;
-      dx_loops = [];
-      dx_fallback = Some why;
-      dx_machine = m;
-    }
+    sequential_result ~requested ~why ~loops:[] m ~code ~wall
   | None ->
     let n = requested in
     let induction = induction_table plan in
-    let pp = prepass ~prog ~induction ~lids ~domains:n in
+    let pp, pr = prepass ~prog ~induction ~lids ~domains:n in
     (* Shared slots for every distributed invocation. *)
     let slots : (Ast.lid * int, slot) Hashtbl.t = Hashtbl.create 16 in
     let max_own = ref 1 in
@@ -576,6 +633,27 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
             }
         | _ -> ())
       pp.pp_invs;
+    let loops =
+      List.map
+        (fun lid ->
+          {
+            lr_lid = lid;
+            lr_decision =
+              Option.value ~default:Distributed
+                (Hashtbl.find_opt pp.pp_decisions lid);
+            lr_invocations =
+              Option.value ~default:0 (Hashtbl.find_opt pp.pp_inv_count lid);
+            lr_iterations =
+              Option.value ~default:0 (Hashtbl.find_opt pp.pp_iters lid);
+          })
+        lids
+    in
+    if Hashtbl.length slots = 0 then
+      (* N machines would each replay the run the pre-pass just made *)
+      sequential_result ~requested
+        ~why:"no loop iteration distributes; the pre-pass run is the result"
+        ~loops pr.pr_machine ~code:pr.pr_exit ~wall:pr.pr_wall_ns
+    else
     let deques =
       Array.init n (fun _ -> Deque.create ~capacity:(2 * !max_own) ())
     in
@@ -1044,21 +1122,6 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
         (Array.fold_left ( + ) 0 chunks_run);
       Telemetry.Span.count "domexec.merges" merges.(0)
     end;
-    let loops =
-      List.map
-        (fun lid ->
-          {
-            lr_lid = lid;
-            lr_decision =
-              Option.value ~default:Distributed
-                (Hashtbl.find_opt pp.pp_decisions lid);
-            lr_invocations =
-              Option.value ~default:0 (Hashtbl.find_opt pp.pp_inv_count lid);
-            lr_iterations =
-              Option.value ~default:0 (Hashtbl.find_opt pp.pp_iters lid);
-          })
-        lids
-    in
     {
       dx_exit = codes.(0);
       dx_output = outs.(0);

@@ -18,15 +18,17 @@
     sequential oracle.
 
     A distribution-safety pre-pass (one instrumented sequential run of
-    the expanded program) demotes to {e replicated} — executed in full
-    by every machine, which is trivially consistent — any loop with a
-    loop-carried flow dependence, allocation, [rand] advancement,
-    early exit, or an induction variable used outside its own update.
-    Known blind spot: string reads by [strlen]/[puts]/[printf %s]
-    bypass the access observer, so a distributed body that reads a
-    string written by another iteration would not be demoted (no
-    workload does this); the per-run contract check still fails loudly
-    if it ever happens. *)
+    the expanded program, over a flat {!Interp.Shadow} of 8-byte
+    granules stamped with an invocation epoch) demotes to
+    {e replicated} — executed in full by every machine, which is
+    trivially consistent — any loop with a loop-carried flow
+    dependence, allocation, [rand] advancement, early exit, or an
+    induction variable used outside its own update. Builtin string
+    reads ([strlen], [puts], [printf]) reach it through the
+    interpreter's read hook. When no distributed invocation runs an
+    iteration, N machines would each only replay that run, so the
+    pre-pass machine's own run is the result: one domain, no chunks,
+    and a fallback reason. *)
 
 open Minic
 
@@ -46,13 +48,18 @@ type result = {
   dx_output : string;
   dx_requested : int;  (** domains asked for *)
   dx_domains : int;  (** domains actually used *)
-  dx_wall_ns : float;  (** spawn-to-join (run only; loading excluded) *)
+  dx_wall_ns : float;
+      (** spawn-to-join (run only; loading excluded); on one machine,
+          that machine's run — the instrumented pre-pass run when no
+          loop iteration distributes *)
   dx_steals : int;
   dx_steal_lost : int;  (** steal CAS races lost (incl. injected) *)
   dx_chunks_run : int array;  (** chunks executed, per domain *)
   dx_merges : int;  (** distributed invocations merged *)
   dx_loops : loop_report list;
-  dx_fallback : string option;  (** reason when the run was sequential *)
+  dx_fallback : string option;
+      (** reason when the run used one machine: one domain requested or
+          available, or no loop iteration distributes *)
   dx_machine : Interp.Machine.t;
       (** domain 0's machine after the run, for contract checking *)
 }
@@ -144,7 +151,7 @@ val available_domains : unit -> int
     wants domain pseudo-processes in a Chrome trace renders the
     recorder with {!Domtrace.to_chrome}, whose timestamps are logical
     ticks, not host ns. With [trace] absent every emission site is a
-    no-op; the sequential-fallback path records nothing.
+    no-op; a run on one machine records nothing, not even an attempt.
 
     The caller is expected to validate [dx_output]/[dx_exit] and
     [dx_machine]'s final globals against a sequential oracle

@@ -86,6 +86,11 @@ type state = {
       (** (dst, src, len) after a bulk byte move: memset (src = None),
           memcpy and the copying half of realloc. Complements
           [observer], which only sees scalar accesses *)
+  mutable read_hook : (int -> int -> unit) option;
+      (** (addr, len) after a builtin reads a C string, terminator
+          included: strlen, puts and printf's format and [%s]
+          arguments. Builtins have no access id, so the observer never
+          sees these reads *)
 }
 
 exception Runtime_error of string
@@ -165,6 +170,7 @@ let make_state () : state =
     fuel = 2_000_000_000;
     iter_skip = false;
     bulk_hook = None;
+    read_hook = None;
   }
 
 let global_addr st name =
@@ -184,6 +190,15 @@ let output st = Buffer.contents st.out
 (* ------------------------------------------------------------------ *)
 (* Access accounting                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* A builtin's read of the C string at [addr], reported to the read
+   hook with its terminator. *)
+let read_cstring st addr =
+  let s = Memory.read_cstring st.mem addr in
+  (match st.read_hook with
+  | Some h -> h addr (String.length s + 1)
+  | None -> ());
+  s
 
 let do_load st aid addr size =
   st.stats.n_loads <- st.stats.n_loads + 1;
@@ -1274,7 +1289,7 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
         r.r_long <- c)
   | "puts" ->
     ints (fun v ->
-        let s = Memory.read_cstring st.mem v.(0) in
+        let s = read_cstring st v.(0) in
         Buffer.add_string st.out s;
         Buffer.add_char st.out '\n';
         charge st (Cost.io_char * (String.length s + 1));
@@ -1296,6 +1311,7 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
   | "strlen" ->
     ints (fun v ->
         let n = Memory.strlen st.mem v.(0) in
+        (match st.read_hook with Some h -> h v.(0) (n + 1) | None -> ());
         charge st (n * Cost.load);
         n)
   | "abs" | "labs" ->
@@ -1327,7 +1343,7 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
 (** Minimal printf: supports %d %i %u %c %s %x %f %g %e %%, the 'l'
     length modifier, width, '0'/'-' flags and precision. *)
 and format_printf st fmt_addr (args : printf_arg list) : string =
-  let fmt = Memory.read_cstring st.mem fmt_addr in
+  let fmt = read_cstring st fmt_addr in
   let buf = Buffer.create (String.length fmt) in
   let args = ref args in
   let pop () =
@@ -1399,7 +1415,7 @@ and format_printf st fmt_addr (args : printf_arg list) : string =
         | 'd' | 'i' | 'u' -> Int64.to_string (as_int (pop ()))
         | 'x' -> Printf.sprintf "%Lx" (as_int (pop ()))
         | 'c' -> String.make 1 (Char.chr (Int64.to_int (as_int (pop ())) land 0xff))
-        | 's' -> Memory.read_cstring st.mem (Int64.to_int (as_int (pop ())))
+        | 's' -> read_cstring st (Int64.to_int (as_int (pop ())))
         | 'f' -> Printf.sprintf "%.*f" (if prec >= 0 then prec else 6) (as_float (pop ()))
         | 'e' -> Printf.sprintf "%.*e" (if prec >= 0 then prec else 6) (as_float (pop ()))
         | 'g' -> Printf.sprintf "%.*g" (if prec >= 0 then prec else 6) (as_float (pop ()))

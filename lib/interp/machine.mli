@@ -66,6 +66,11 @@ type state = {
       (** (dst, src, len) after a bulk byte move — memset (src =
           [None]), memcpy, and the copying half of realloc; complements
           [observer], which only reports scalar accesses *)
+  mutable read_hook : (int -> int -> unit) option;
+      (** (addr, len) after a builtin reads a C string, terminator
+          included — strlen, puts, and printf's format and [%s]
+          arguments; builtins have no access id, so [observer] never
+          sees these reads *)
 }
 
 exception Runtime_error of string

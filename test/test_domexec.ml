@@ -1,8 +1,9 @@
 (* Tests for the real-multicore domain executor: the Chase-Lev deque's
    laws (sequential model + multi-domain stress), the scheduler's
    determinism against the sequential original on every workload and
-   layout, induction delta-merging, replication fallbacks, and the
-   steal counter under imbalanced chunking.
+   layout, the pre-pass's loop reports and demotion reasons, induction
+   delta-merging, replication fallbacks, the one-machine run when no
+   loop distributes, and the steal counter under imbalanced chunking.
 
    Parallel runs use [force:true] so the scheduler path is exercised
    even on a 1-core host (domains are correct on any core count, just
@@ -299,6 +300,186 @@ int main(void)
 let zero_trip () = ignore (run_domains ~domains:2 zero_trip_src)
 
 (* ------------------------------------------------------------------ *)
+(* Pre-pass demotions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One source per demotion reason: each program's only loop must
+   replicate for exactly that reason, and the run must still match the
+   original program's output and exit code. *)
+let demotions =
+  [
+    ( "step reads body data",
+      "the step reads data written by the loop body",
+      {|
+int out[40];
+int step;
+int main(void)
+{
+  int i;
+  step = 1;
+#pragma parallel
+  for (i = 0; i < 32; i = i + step) { out[i] = i * 7; step = 1 + i % 2; }
+  printf("%d %d %d\n", out[0], out[31], step);
+  return 0;
+}|} );
+    ( "induction updated in body and step",
+      "induction variable updated in both body and step",
+      {|
+int k;
+int out[64];
+int main(void)
+{
+#pragma parallel
+  for (k = 0; k < 60; k = k + 1) { out[k] = k * 3; k = k + 1; }
+  printf("%d %d %d\n", k, out[0], out[58]);
+  return 0;
+}|} );
+    ( "induction read outside its update",
+      "induction value read outside its own update",
+      {|
+int hits;
+int out[64];
+int main(void)
+{
+  int i;
+#pragma parallel
+  for (i = 0; i < 64; i++) { hits = hits + 1; out[i] = hits * 2; }
+  printf("%d %d\n", hits, out[63]);
+  return 0;
+}|} );
+    ( "rand in the body",
+      "rand() advances inside the loop",
+      {|
+int out[32];
+int main(void)
+{
+  int i;
+#pragma parallel
+  for (i = 0; i < 32; i++) out[i] = rand() % 100;
+  printf("%d %d\n", out[0], out[31]);
+  return 0;
+}|} );
+    ( "body break",
+      "the loop body may break",
+      {|
+int out[64];
+int main(void)
+{
+  int i;
+#pragma parallel
+  for (i = 0; i < 64; i++) {
+    if (i == 40) break;
+    out[i] = i + 1;
+  }
+  printf("%d %d\n", out[39], out[40]);
+  return 0;
+}|} );
+    (* strlen reads the bytes earlier iterations stored: a flow the
+       access observer never sees, reported by the read hook *)
+    ( "strlen reads another iteration's string",
+      "loop-carried flow dependence",
+      {|
+char buf[64];
+int lens[32];
+int main(void)
+{
+  int i;
+#pragma parallel
+  for (i = 0; i < 32; i++) {
+    lens[i] = strlen(buf);
+    buf[i] = 97;
+    buf[i + 1] = 0;
+  }
+  printf("%d %d\n", lens[1], lens[31]);
+  return 0;
+}|} );
+    (* a shadow page covers 32 KiB: the flow runs 32 KiB past the
+       array's first elements, which every iteration also reads *)
+    ( "carried flow past the first shadow page",
+      "loop-carried flow dependence",
+      {|
+int big[16384];
+int main(void)
+{
+  int i;
+  for (i = 0; i < 16384; i++) big[i] = i % 13;
+#pragma parallel
+  for (i = 1; i < 16; i++) big[8192 + i] = big[8192 + i - 1] + big[i];
+  printf("%d\n", big[8192 + 15]);
+  return 0;
+}|} );
+  ]
+
+let demotion_cases =
+  List.map
+    (fun (name, why, src) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let r = run_domains ~domains:2 src in
+          Alcotest.(check string)
+            "decision"
+            ("replicated (" ^ why ^ ")")
+            (Domexec.Exec.decision_to_string (first_decision r))))
+    demotions
+
+(* ------------------------------------------------------------------ *)
+(* One machine when nothing distributes                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The only loop replicates, so the pre-pass run is the result: one
+   machine, no chunks, no recorded attempt, and the program's own exit
+   code from a call to exit() after the loop. *)
+let exit_src = {|
+int acc[33];
+int main(void)
+{
+  int i;
+  acc[0] = 1;
+#pragma parallel
+  for (i = 1; i < 33; i++) acc[i] = acc[i - 1] + i;
+  printf("%d\n", acc[32]);
+  exit(3);
+  return 0;
+}|}
+
+let replay_skip () =
+  let p, lids, res = expand exit_src in
+  let code0, out0 = Interp.Machine.run_program p in
+  Alcotest.(check int) "the original exits with 3" 3 code0;
+  let tr = Domexec.Domtrace.create () in
+  let r =
+    Domexec.Exec.run ~domains:2 ~force:true ~trace:tr
+      res.Expand.Transform.transformed res.Expand.Transform.plan lids
+  in
+  Alcotest.(check int) "one machine" 1 r.Domexec.Exec.dx_domains;
+  Alcotest.(check (option string))
+    "fallback reason"
+    (Some "no loop iteration distributes; the pre-pass run is the result")
+    r.Domexec.Exec.dx_fallback;
+  Alcotest.(check int)
+    "no chunks" 0
+    (Array.fold_left ( + ) 0 r.Domexec.Exec.dx_chunks_run);
+  Alcotest.(check string) "output" out0 r.Domexec.Exec.dx_output;
+  Alcotest.(check int) "exit code" 3 r.Domexec.Exec.dx_exit;
+  Alcotest.(check string)
+    "loop report" "replicated (loop-carried flow dependence)"
+    (Domexec.Exec.decision_to_string (first_decision r));
+  Guard.Contract.check_finals
+    (Guard.Contract.oracle_of p [])
+    res.Expand.Transform.plan r.Domexec.Exec.dx_machine;
+  Alcotest.(check int)
+    "recorder holds no attempt" 0
+    (Domexec.Domtrace.attempt_count tr);
+  let st = r.Domexec.Exec.dx_machine.Interp.Machine.st in
+  Alcotest.(check bool)
+    "pre-pass hooks cleared" true
+    (st.Interp.Machine.observer = None
+    && st.Interp.Machine.loop_hook = None
+    && st.Interp.Machine.bulk_hook = None
+    && st.Interp.Machine.read_hook = None
+    && st.Interp.Machine.alloc_hook = None
+    && st.Interp.Machine.free_hook = None)
+
+(* ------------------------------------------------------------------ *)
 (* Steal counter under imbalanced chunking                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -334,6 +515,22 @@ let steals_under_imbalance () =
 (* Determinism against the oracle: every workload, every layout        *)
 (* ------------------------------------------------------------------ *)
 
+(* Every workload's loop reports (lid, decision, invocations,
+   iterations) at 2 domains, the same in both layouts: the pre-pass
+   must keep making exactly these decisions. *)
+let expected_reports =
+  [
+    ("dijkstra", [ (8, "replicated (allocates inside the loop body)", 1, 96) ]);
+    ("md5", [ (7, "distributed", 1, 128) ]);
+    ("mpeg2-encoder", [ (12, "distributed", 1, 48) ]);
+    ("mpeg2-decoder", [ (15, "distributed", 1, 48) ]);
+    ( "h263-encoder",
+      [ (10, "distributed", 1, 40); (11, "distributed", 1, 40) ] );
+    ("256.bzip2", [ (17, "replicated (loop-carried flow dependence)", 1, 96) ]);
+    ("456.hmmer", [ (11, "replicated (loop-carried flow dependence)", 1, 64) ]);
+    ("470.lbm", [ (7, "distributed", 4, 760) ]);
+  ]
+
 let check_workload (b : Harness.Bench_run.t)
     (res : Expand.Transform.result) ~(domains : int) : unit =
   let oracle = Lazy.force b.Harness.Bench_run.contract_oracle in
@@ -347,7 +544,19 @@ let check_workload (b : Harness.Bench_run.t)
   Alcotest.(check int)
     "exit code" oracle.Guard.Contract.o_exit r.Domexec.Exec.dx_exit;
   Guard.Contract.check_finals oracle res.Expand.Transform.plan
-    r.Domexec.Exec.dx_machine
+    r.Domexec.Exec.dx_machine;
+  let name = b.Harness.Bench_run.workload.Workloads.Workload.name in
+  Alcotest.(check (list (pair (pair int string) (pair int int))))
+    "loop reports"
+    (List.map
+       (fun (lid, d, inv, it) -> ((lid, d), (inv, it)))
+       (List.assoc name expected_reports))
+    (List.map
+       (fun (lr : Domexec.Exec.loop_report) ->
+         ( ( lr.Domexec.Exec.lr_lid,
+             Domexec.Exec.decision_to_string lr.Domexec.Exec.lr_decision ),
+           (lr.Domexec.Exec.lr_invocations, lr.Domexec.Exec.lr_iterations) ))
+       r.Domexec.Exec.dx_loops)
 
 let workload_cases =
   List.map
@@ -386,8 +595,11 @@ let () =
           Alcotest.test_case "replicates on carried dep" `Quick
             replicates_on_carried_dep;
           Alcotest.test_case "zero-trip loop" `Quick zero_trip;
+          Alcotest.test_case "one machine when nothing distributes" `Quick
+            replay_skip;
           Alcotest.test_case "steals under imbalance" `Quick
             steals_under_imbalance;
         ] );
+      ("demotions", demotion_cases);
       ("workloads", workload_cases);
     ]
