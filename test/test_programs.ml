@@ -24,6 +24,7 @@ let read_file path =
    program needs an entry. *)
 let golden =
   [
+    ("granules.c", [ "2d91966581a32b49c4317b82053fceed" ]);
     ("recast.c", [ "b4453d6d356b8efcdeece0c6b322107a" ]);
     ("spans.c", [ "1f4785ab153242f029b65ffc2fe0429c" ]);
     ("stencil.c", [ "110ade5b5c33211205dea80e78d4c22f" ]);
