@@ -19,7 +19,10 @@
       writer downwards-exposed.
 
     Byte granularity makes recasting idioms (bzip2's short/int [zptr])
-    profile correctly. *)
+    profile correctly. The shadow state is kept per aligned 4-byte
+    granule while the granule's four bytes share one state, and per
+    byte only where an access has covered the granule partly (see
+    "Shadow state" below), which gives the same graph. *)
 
 open Minic
 
@@ -94,11 +97,26 @@ let loop_sites (prog : Ast.program) (loop_stmt : Ast.stmt) : Graph.site list =
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every byte the loop touches has a shadow in a page of the shared
-   {!Interp.Shadow} memory, allocated on first in-loop access: its
-   last in-loop writer (aid, -1 when none since the last out-of-loop
-   store or free), that write's iteration and invocation, and the head
-   of its reader set (-1 when empty).
+(* A shadow unit is four ints: the last in-loop writer (aid, -1 when
+   none since the last out-of-loop store or free), that write's
+   iteration and invocation, and the head of the reader set (-1 when
+   empty). A unit is an aligned 4-byte granule while its four bytes
+   share one state, and a byte otherwise.
+
+   Granules live in pages of one {!Interp.Shadow} keyed by address / 4,
+   allocated on first in-loop access. An access that covers a granule
+   only partly (a 1- or 2-byte or unaligned access, or an out-of-loop
+   store or free range that ends inside the granule) splits it: its
+   writer becomes [split], and each of its bytes gets a copy of its
+   state, reader set included, in a second shadow keyed by address. A
+   store that leaves the four bytes equal and without readers merges
+   them back. An aligned 4- or 8-byte access to granules that are not
+   split updates 1 or 2 units, where a byte shadow updates 4 or 8.
+
+   This is exact: on a granule that is one unit the byte algorithm
+   makes the same update to each of the four bytes, so the bytes after
+   the first add no edge the filter has not already passed on and no
+   exposure mark the tables do not already hold.
 
    The per-access path allocates nothing: its helpers are top-level
    functions over ints (a local closure would be allocated on every
@@ -109,10 +127,11 @@ let f_writer = 0
 let f_iter = 1
 let f_inv = 2
 let f_readers = 3
-let byte_fields = 4
+let unit_fields = 4
+let split = -2
 
 (* A reader set is a linked list of nodes in one int pool, one node per
-   site aid that read the byte in the set's invocation: its lowest and
+   site aid that read the unit in the set's invocation: its lowest and
    highest iteration, the invocation and the next node (-1 ends). *)
 let n_aid = 0
 let n_lo = 1
@@ -122,7 +141,8 @@ let n_next = 4
 let node_fields = 5
 
 type shadow = {
-  bytes : Interp.Shadow.t;
+  granules : Interp.Shadow.t;  (** keyed by address / 4 *)
+  bytes : Interp.Shadow.t;  (** keyed by address; live for split granules *)
   mutable nodes : int array;
   mutable free : int;  (** first free node, -1 when none *)
   mutable fresh : int;  (** first never-used node *)
@@ -130,7 +150,8 @@ type shadow = {
 
 let shadow_create () =
   {
-    bytes = Interp.Shadow.create ~fields:byte_fields ~init:(-1);
+    granules = Interp.Shadow.create ~fields:unit_fields ~init:(-1);
+    bytes = Interp.Shadow.create ~fields:unit_fields ~init:(-1);
     nodes = Array.make (node_fields * 1024) 0;
     free = -1;
     fresh = 0;
@@ -161,7 +182,19 @@ let rec find_node nodes aid n =
   if n < 0 || nodes.(n + n_aid) = aid then n
   else find_node nodes aid nodes.(n + n_next)
 
-(* Empty the reader set of the byte at offset [o] of page [p]. *)
+(* A copy of the reader set from node [n] on, in the same order. *)
+let rec copy_readers sh n =
+  if n < 0 then -1
+  else begin
+    let next = copy_readers sh sh.nodes.(n + n_next) in
+    let c = alloc_node sh in
+    let nodes = sh.nodes in
+    Array.blit nodes n nodes c n_next;
+    nodes.(c + n_next) <- next;
+    c
+  end
+
+(* Empty the reader set of the unit at offset [o] of page [p]. *)
 let[@inline] clear_readers sh p o =
   let h = p.(o + f_readers) in
   if h >= 0 then begin
@@ -169,6 +202,13 @@ let[@inline] clear_readers sh p o =
     sh.free <- h;
     p.(o + f_readers) <- -1
   end
+
+(* Back to the state of a unit no in-loop access has touched. *)
+let reset sh p o =
+  clear_readers sh p o;
+  p.(o + f_writer) <- -1;
+  p.(o + f_iter) <- -1;
+  p.(o + f_inv) <- -1
 
 (* Record a read by site [aid] in iteration [iter] of invocation [inv];
    a set left from an earlier invocation is dropped first, since a
@@ -192,6 +232,84 @@ let[@inline] add_reader sh p o aid iter inv =
     nodes.(n + n_next) <- p.(o + f_readers);
     p.(o + f_readers) <- n
   end
+
+(* The byte page holding the granule that starts at address [a], whose
+   unit is at offset [o] of granule page [p]; a granule that is one
+   unit is split first. *)
+let split_granule sh p o a =
+  let b = Interp.Shadow.page sh.bytes a in
+  if p.(o + f_writer) <> split then begin
+    let bo = (a land page_mask) * unit_fields in
+    let h = p.(o + f_readers) in
+    for k = 0 to 3 do
+      let q = bo + (k * unit_fields) in
+      b.(q + f_writer) <- p.(o + f_writer);
+      b.(q + f_iter) <- p.(o + f_iter);
+      b.(q + f_inv) <- p.(o + f_inv);
+      b.(q + f_readers) <- (if k = 0 then h else copy_readers sh h)
+    done;
+    p.(o + f_writer) <- split;
+    p.(o + f_readers) <- -1
+  end;
+  b
+
+(* Whether the bytes [k, 4) of a split granule, at offset [bo] of byte
+   page [b], have writer [w], iteration [it], invocation [inv] and no
+   readers. *)
+let rec same_from b bo w it inv k =
+  k = 4
+  ||
+  let q = bo + (k * unit_fields) in
+  b.(q + f_writer) = w
+  && b.(q + f_iter) = it
+  && b.(q + f_inv) = inv
+  && b.(q + f_readers) < 0
+  && same_from b bo w it inv (k + 1)
+
+(* Make a split granule one unit again if its four bytes hold one state
+   and no readers. *)
+let merge p o b bo =
+  let w = b.(bo + f_writer)
+  and it = b.(bo + f_iter)
+  and inv = b.(bo + f_inv) in
+  if same_from b bo w it inv 0 then begin
+    p.(o + f_writer) <- w;
+    p.(o + f_iter) <- it;
+    p.(o + f_inv) <- inv
+  end
+
+(* Run [unit aid p o] on the units of the bytes [addr, addr + size), in
+   address order: once on a granule that is one unit and either
+   covered whole or left unchanged by [unit] ([mutates] false), and
+   otherwise once on each covered byte of the granule, split first and
+   merged after when [mutates]. Without [alloc], granules on pages no
+   in-loop access touched are skipped: their state is the fresh one. *)
+let walk sh ~alloc ~mutates unit aid addr size =
+  let last = addr + size - 1 in
+  for g = addr lsr 2 to last lsr 2 do
+    let p =
+      if alloc then Interp.Shadow.page sh.granules g
+      else Interp.Shadow.find_page sh.granules g
+    in
+    if p != no_page then begin
+      let o = (g land page_mask) * unit_fields in
+      let a = g lsl 2 in
+      if
+        p.(o + f_writer) <> split
+        && ((addr <= a && a + 3 <= last) || not mutates)
+      then unit aid p o
+      else begin
+        let b = split_granule sh p o a in
+        let bo = (a land page_mask) * unit_fields in
+        let lo = if addr > a then addr - a else 0
+        and hi = if last < a + 3 then last - a else 3 in
+        for x = lo to hi do
+          unit aid b (bo + (x * unit_fields))
+        done;
+        if mutates then merge p o b bo
+      end
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Edge filter                                                         *)
@@ -322,7 +440,10 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
         g.Graph.loop_cycles <-
           g.Graph.loop_cycles + (st.Interp.Machine.cycles - !enter_cycles)
   in
-  let load_byte aid site iter inv p o =
+  (* the units [walk] applies: in-loop loads and stores, and loads,
+     stores and frees outside the loop *)
+  let load aid p o =
+    let iter = !cur_iter and inv = !cur_inv in
     let w = p.(o + f_writer) in
     if w >= 0 then begin
       if p.(o + f_inv) = inv then
@@ -337,9 +458,10 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
     end
     else mark_up aid;
     (* only a site's read can source an anti edge *)
-    if site then add_reader sh p o aid iter inv
+    if is_site.(aid) then add_reader sh p o aid iter inv
   in
-  let store_byte aid iter inv p o =
+  let store aid p o =
+    let iter = !cur_iter and inv = !cur_inv in
     let w = p.(o + f_writer) in
     if w >= 0 && p.(o + f_inv) = inv then
       add_edge f ~src:w ~dst:aid ~kind:Graph.Output
@@ -353,54 +475,34 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
     p.(o + f_iter) <- iter;
     p.(o + f_inv) <- inv
   in
+  let load_after _ p o =
+    let w = p.(o + f_writer) in
+    if w >= 0 then mark_down w
+  in
+  let store_after _ p o =
+    let w = p.(o + f_writer) in
+    (* overwriting an in-loop value that was never read after the
+       loop: a loop-boundary output dependence *)
+    if w >= 0 then mark_killed w;
+    reset sh p o
+  in
+  let freed _ p o = reset sh p o in
   let observe aid kind addr size =
     if !in_loop then begin
-      let site = is_site.(aid) in
-      if site then begin
+      if is_site.(aid) then begin
         if counts.(aid) = 0 then Hashtbl.replace g.Graph.dyn_counts aid 0;
         counts.(aid) <- counts.(aid) + 1
       end;
-      let iter = !cur_iter and inv = !cur_inv in
-      (* fetch the page again where the access crosses into the next *)
-      let p = ref (Interp.Shadow.page sh.bytes addr) in
+      match kind with
+      | Visit.Load -> walk sh ~alloc:true ~mutates:true load aid addr size
+      | Visit.Store -> walk sh ~alloc:true ~mutates:true store aid addr size
+    end
+    else
       match kind with
       | Visit.Load ->
-        for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := Interp.Shadow.page sh.bytes a;
-          load_byte aid site iter inv !p ((a land page_mask) * byte_fields)
-        done
+        walk sh ~alloc:false ~mutates:false load_after aid addr size
       | Visit.Store ->
-        for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := Interp.Shadow.page sh.bytes a;
-          store_byte aid iter inv !p ((a land page_mask) * byte_fields)
-        done
-    end
-    else begin
-      (* the same walk, but never allocating a page *)
-      let p = ref (Interp.Shadow.find_page sh.bytes addr) in
-      match kind with
-      | Visit.Load ->
-        for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
-          if !p != no_page then begin
-            let w = !p.(((a land page_mask) * byte_fields) + f_writer) in
-            if w >= 0 then mark_down w
-          end
-        done
-      | Visit.Store ->
-        for a = addr to addr + size - 1 do
-          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
-          if !p != no_page then begin
-            let o = (a land page_mask) * byte_fields in
-            let w = !p.(o + f_writer) in
-            (* overwriting an in-loop value that was never read after
-               the loop: a loop-boundary output dependence *)
-            if w >= 0 then mark_killed w;
-            !p.(o + f_writer) <- -1;
-            clear_readers sh !p o
-          end
-        done
-    end
+        walk sh ~alloc:false ~mutates:true store_after aid addr size
   in
   st.Interp.Machine.loop_hook <- Some hook;
   st.Interp.Machine.observer <- Some observe;
@@ -411,15 +513,7 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
   st.Interp.Machine.free_hook <-
     Some
       (fun base size ->
-        let p = ref (Interp.Shadow.find_page sh.bytes base) in
-        for a = base to base + size - 1 do
-          if a land page_mask = 0 then p := Interp.Shadow.find_page sh.bytes a;
-          if !p != no_page then begin
-            let o = (a land page_mask) * byte_fields in
-            !p.(o + f_writer) <- -1;
-            clear_readers sh !p o
-          end
-        done);
+        walk sh ~alloc:false ~mutates:true freed (-1) base size);
   let exit_code = Interp.Machine.run m in
   Array.iteri
     (fun aid n -> if n > 0 then Hashtbl.replace g.Graph.dyn_counts aid n)
@@ -429,10 +523,15 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
     Telemetry.Span.count "profile.sites" (List.length g.Graph.sites);
     Telemetry.Span.count "profile.edges" (Hashtbl.length g.Graph.edges)
   end;
-  {
-    graph = g;
-    stats = st.Interp.Machine.stats;
-    exit_code;
-    output = Interp.Machine.output st;
-    peak_bytes = Interp.Memory.peak_bytes st.Interp.Machine.mem;
-  }
+  let profile =
+    {
+      graph = g;
+      stats = st.Interp.Machine.stats;
+      exit_code;
+      output = Interp.Machine.output st;
+      peak_bytes = Interp.Memory.peak_bytes st.Interp.Machine.mem;
+    }
+  in
+  (* the next profile's machine reuses this one's arena *)
+  Interp.Memory.release st.Interp.Machine.mem;
+  profile

@@ -20,14 +20,6 @@ type profile = {
   peak_bytes : int;
 }
 
-(** Functions transitively reachable from calls inside a statement. *)
-val reachable_funs : Ast.program -> Ast.stmt -> Ast.fundef list
-
-(** Static access sites of a loop: body, condition (+ step for
-    for-loops) plus all transitively-called functions — Definition 1's
-    "all memory accesses potentially executed in the loop". *)
-val loop_sites : Ast.program -> Ast.stmt -> Graph.site list
-
 (** Profile loop [lid] by running the whole program once.
     @raise Invalid_argument if no loop has id [lid]. *)
 val profile : Ast.program -> Ast.lid -> profile

@@ -25,9 +25,23 @@ let fault fmt = Printf.ksprintf (fun m -> raise (Fault m)) fmt
 
 let base_address = 64
 
+(* The last released arena. The dependence profiler loads one machine
+   per profiled loop, each with a zero-filled arena of several MB (the
+   interpreter's 4 MB stack and a heap margin); reusing the arena keeps
+   dead ones from piling up in the C heap between major collections. *)
+let spare : Bytes.t option Atomic.t = Atomic.make None
+
 let create ?(initial = 1 lsl 16) () =
+  let size = max initial base_address in
+  let data =
+    match Atomic.exchange spare None with
+    | Some b when Bytes.length b = size ->
+      Bytes.fill b 0 size '\000';
+      b
+    | _ -> Bytes.make size '\000'
+  in
   {
-    data = Bytes.make (max initial base_address) '\000';
+    data;
     brk = base_address;
     blocks = Hashtbl.create 64;
     free_lists = Hashtbl.create 16;
@@ -87,6 +101,11 @@ let alloc ?(track = true) m size : int =
     if m.live_bytes > m.peak_bytes then m.peak_bytes <- m.live_bytes
   end;
   base
+
+let release m =
+  Atomic.set spare (Some m.data);
+  m.data <- Bytes.empty;
+  m.brk <- 0
 
 let block_size m base =
   match Hashtbl.find_opt m.blocks base with

@@ -16,6 +16,11 @@ val base_address : int
 
 val create : ?initial:int -> unit -> t
 
+(** [release m] hands [m]'s arena to the next {!create} of the same
+    size, which zeroes and reuses it instead of allocating another.
+    [m] must not be used again: every later access faults. *)
+val release : t -> unit
+
 (** Allocate [size] usable bytes (zeroed); returns the base address.
     [track:false] excludes the block from live/peak accounting (used
     for the simulated call stack, which is machinery rather than

@@ -1,7 +1,9 @@
 (** Paged flat shadow memory: a fixed number of ints for every shadowed
     unit, in pages of 4096 units that are allocated on first touch. A
-    unit is any int key: the dependence profiler shadows bytes (a unit
-    is an address), the domain executor's pre-pass shadows 8-byte
+    unit is any int key. The dependence profiler keeps two shadows:
+    aligned 4-byte granules (a unit is an address shifted right by 2),
+    and the bytes of the granules an access has covered only partly (a
+    unit is an address). The domain executor's pre-pass shadows 8-byte
     granules (a unit is an address shifted right by 3). Looking a unit
     up allocates nothing. *)
 

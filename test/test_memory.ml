@@ -22,6 +22,20 @@ let alloc_tests =
         Interp.Memory.free m a;
         let b = Interp.Memory.alloc m 16 in
         Alcotest.(check int64) "zeroed" 0L (Interp.Memory.load m b 8));
+    Alcotest.test_case "released arena is reused zeroed" `Quick (fun () ->
+        let m = Interp.Memory.create ~initial:4096 () in
+        let a = Interp.Memory.alloc m 16 in
+        Interp.Memory.store m a 8 0x1122334455667788L;
+        Interp.Memory.release m;
+        Alcotest.check_raises "released memory faults"
+          (Interp.Memory.Fault
+             (Printf.sprintf
+                "out-of-bounds access: address %d, size 8 (arena ends at 0)" a))
+          (fun () -> ignore (Interp.Memory.load m a 8));
+        let m' = Interp.Memory.create ~initial:4096 () in
+        let b = Interp.Memory.alloc m' 16 in
+        Alcotest.(check int) "same base" a b;
+        Alcotest.(check int64) "zeroed" 0L (Interp.Memory.load m' b 8));
     Alcotest.test_case "block_size" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 100 in
