@@ -227,6 +227,10 @@ type pre_active = {
   pa_otherload : (int, unit) Hashtbl.t;
       (** induction-verdict loads outside their own update *)
   pa_rand0 : int64;
+  pa_frame : int;
+  pa_sp : int;
+      (** the loop function's own frame at [Enter]: [pa_frame] to
+          [pa_sp] *)
 }
 
 let prepass ~(prog : Ast.program) ~(induction : bool array)
@@ -258,6 +262,8 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
       pa_bodyv = Hashtbl.create 1;
       pa_otherload = Hashtbl.create 1;
       pa_rand0 = 0L;
+      pa_frame = 0;
+      pa_sp = 0;
     }
   in
   let active = ref idle in
@@ -286,6 +292,10 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
   let stacky a =
     a >= st.Interp.Machine.stack_base && a < st.Interp.Machine.stack_limit
   in
+  (* a callee's frame is gone when the next iteration runs, but the
+     loop function's own locals carry values across iterations like
+     globals do *)
+  let skipped pa a = stacky a && not (a >= pa.pa_frame && a < pa.pa_sp) in
   let on_store pa ~is_step addr size =
     for g = addr lsr 3 to (addr + size - 1) lsr 3 do
       let p = Interp.Shadow.page sh g in
@@ -313,22 +323,23 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
     Some
       (fun aid kind addr size ->
         let pa = !active in
-        if pa.pa_live && not (stacky addr) then begin
+        if pa.pa_live then begin
           let is_step = pa.pa_step.(aid) in
           if is_induction induction aid then begin
-            match kind with
-            | Visit.Store ->
-              if is_step then Hashtbl.replace pa.pa_stepv addr ()
-              else if upd_stores.(aid) then
-                Hashtbl.replace pa.pa_bodyv addr size
-              else
-                demote pa.pa_lid
-                  "induction store outside the x = x +/- c shape"
-            | Visit.Load ->
-              if not upd_loads.(aid) then
-                Hashtbl.replace pa.pa_otherload addr ()
+            if not (stacky addr) then
+              match kind with
+              | Visit.Store ->
+                if is_step then Hashtbl.replace pa.pa_stepv addr ()
+                else if upd_stores.(aid) then
+                  Hashtbl.replace pa.pa_bodyv addr size
+                else
+                  demote pa.pa_lid
+                    "induction store outside the x = x +/- c shape"
+              | Visit.Load ->
+                if not upd_loads.(aid) then
+                  Hashtbl.replace pa.pa_otherload addr ()
           end
-          else
+          else if not (skipped pa addr) then
             match kind with
             | Visit.Store -> on_store pa ~is_step addr size
             | Visit.Load -> on_load pa ~is_step addr size
@@ -339,16 +350,16 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
         let pa = !active in
         if pa.pa_live && len > 0 then begin
           (match src with
-          | Some s when not (stacky s) -> on_load pa ~is_step:false s len
+          | Some s when not (skipped pa s) -> on_load pa ~is_step:false s len
           | _ -> ());
-          if not (stacky dst) then on_store pa ~is_step:false dst len
+          if not (skipped pa dst) then on_store pa ~is_step:false dst len
         end);
   (* a builtin's string read is a body load like any other *)
   st.Interp.Machine.read_hook <-
     Some
       (fun addr len ->
         let pa = !active in
-        if pa.pa_live && not (stacky addr) then
+        if pa.pa_live && not (skipped pa addr) then
           on_load pa ~is_step:false addr len);
   st.Interp.Machine.alloc_hook <-
     Some
@@ -385,6 +396,8 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
                   pa_bodyv = Hashtbl.create 4;
                   pa_otherload = Hashtbl.create 4;
                   pa_rand0 = st.Interp.Machine.rand_state;
+                  pa_frame = st.Interp.Machine.frame;
+                  pa_sp = st.Interp.Machine.sp;
                 }
             end
           | Interp.Machine.Iter ->

@@ -393,6 +393,36 @@ int main(void)
   printf("%d %d\n", lens[1], lens[31]);
   return 0;
 }|} );
+    (* the loop function's own locals carry values across iterations:
+       a reduction into a local, and a step reading a local the body
+       writes *)
+    ( "reduction into a local",
+      "loop-carried flow dependence",
+      {|
+int x[64];
+int main(void)
+{
+  int i;
+  int acc = 0;
+  for (i = 0; i < 64; i++) x[i] = i * 3 + 1;
+#pragma parallel
+  for (i = 0; i < 64; i++) acc = acc + x[i];
+  printf("%d\n", acc);
+  return 0;
+}|} );
+    ( "step reads a local the body writes",
+      "the step reads data written by the loop body",
+      {|
+int out[64];
+int main(void)
+{
+  int i;
+  int step = 1;
+#pragma parallel
+  for (i = 0; i < 60; i = i + step) { step = 1 + i % 2; out[i] = i * 3; }
+  printf("%d %d %d\n", out[0], out[58], out[59]);
+  return 0;
+}|} );
     (* a shadow page covers 32 KiB: the flow runs 32 KiB past the
        array's first elements, which every iteration also reads *)
     ( "carried flow past the first shadow page",
