@@ -106,6 +106,7 @@ type series = {
   s_latest : float;
   s_baseline : float;
   s_delta : float;
+  s_exact : bool;
   s_verdict : verdict;
   s_changepoint : int option;
 }
@@ -168,6 +169,9 @@ let analyze ?(window = 5) ?(tolerance = default_tolerance)
     let vals = Array.of_list (List.rev !(Hashtbl.find tbl key)) in
     let n = Array.length vals in
     let latest = vals.(n - 1) in
+    let exact =
+      match tolerance key with Some (tol, _) -> tol = 0.0 | None -> false
+    in
     match baseline_at ~window vals (n - 1) with
     | None ->
       {
@@ -176,6 +180,7 @@ let analyze ?(window = 5) ?(tolerance = default_tolerance)
         s_latest = latest;
         s_baseline = latest;
         s_delta = 0.0;
+        s_exact = exact;
         s_verdict = Insufficient;
         s_changepoint = None;
       }
@@ -213,6 +218,7 @@ let analyze ?(window = 5) ?(tolerance = default_tolerance)
         s_latest = latest;
         s_baseline = baseline;
         s_delta = delta;
+        s_exact = exact;
         s_verdict = verdict;
         s_changepoint = changepoint;
       }
@@ -252,9 +258,21 @@ let render (entries : entry list) (ss : series list) : string =
        "latest" "baseline" "delta" "verdict" "changepoint");
   List.iter
     (fun s ->
+      (* an exact gate fails on a change of one, which a rounded cell or
+         a percentage would hide *)
+      let latest, baseline, delta =
+        if s.s_exact then
+          ( Printf.sprintf "%.0f" s.s_latest,
+            Printf.sprintf "%.0f" s.s_baseline,
+            Printf.sprintf "%+.0f" (s.s_latest -. s.s_baseline) )
+        else
+          ( Printf.sprintf "%.4g" s.s_latest,
+            Printf.sprintf "%.4g" s.s_baseline,
+            Printf.sprintf "%+.1f%%" (100.0 *. s.s_delta) )
+      in
       Buffer.add_string b
-        (Printf.sprintf "%-40s %4d %12.4g %12.4g %+7.1f%% %-10s %s\n" s.s_key
-           s.s_n s.s_latest s.s_baseline (100.0 *. s.s_delta)
+        (Printf.sprintf "%-40s %4d %12s %12s %8s %-10s %s\n" s.s_key s.s_n
+           latest baseline delta
            (match s.s_verdict with
            | Stable -> "stable"
            | Improved -> "improved"

@@ -57,6 +57,9 @@ type series = {
   s_latest : float;
   s_baseline : float;  (** median of the preceding window *)
   s_delta : float;  (** (latest - baseline) / baseline, signed *)
+  s_exact : bool;
+      (** gated with tolerance 0: {!render} prints the values in full
+          and the delta as a signed difference *)
   s_verdict : verdict;
   s_changepoint : int option;
       (** index (into the run sequence of this series) of the most
@@ -88,5 +91,8 @@ val against : pinned:entry list -> entry -> series list
 (** Number of [Regressed] series. *)
 val regressions : series list -> int
 
-(** Render the trend report as a table plus per-run header lines. *)
+(** Render the trend report as a table plus per-run header lines.
+    Values print as [%.4g] and deltas as percentages, except in rows
+    gated exactly, whose values print in full and whose delta is the
+    signed difference (a one-cycle regression reads [+1]). *)
 val render : entry list -> series list -> string

@@ -183,6 +183,24 @@ let pinned_cycles () =
   Alcotest.(check bool) "+1 cycle regressed" true (v 7487555. = H.Regressed);
   Alcotest.(check bool) "-1 cycle improved" true (v 7487553. = H.Improved)
 
+(* A one-cycle regression reads +1 in the rendered row, which still
+   matches the CI grep '^md5/cycles/seq_total .* REGRESSED '. *)
+let pinned_one_cycle_row () =
+  let key = "md5/cycles/seq_total" in
+  let base = [ entry ~t:0.0 [ (key, 7487554.) ] ] in
+  let current = entry ~t:1.0 [ (key, 7487555.) ] in
+  let out = H.render (base @ [ current ]) (H.against ~pinned:base current) in
+  let row =
+    List.find
+      (fun l -> String.starts_with ~prefix:(key ^ " ") l)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check string)
+    "exact cells, signed count"
+    (Printf.sprintf "%-40s %4d %12s %12s %8s %-10s %s" key 2 "7487555"
+       "7487554" "+1" "REGRESSED" "run 1")
+    row
+
 (* 30% below the baseline: outside the 25% band (the old compare's 35%
    band let this pass). *)
 let pinned_wall () =
@@ -254,6 +272,8 @@ let () =
         [
           Alcotest.test_case "cycles exact against the baseline" `Quick
             pinned_cycles;
+          Alcotest.test_case "one-cycle row prints +1" `Quick
+            pinned_one_cycle_row;
           Alcotest.test_case "wall 30% below regresses" `Quick pinned_wall;
           Alcotest.test_case "current keys only" `Quick pinned_key_sets;
           Alcotest.test_case "committed baseline loads" `Quick
