@@ -23,7 +23,9 @@
     {e replicated} — executed in full by every machine, which is
     trivially consistent — any loop with a loop-carried flow
     dependence, allocation, [rand] advancement, early exit, or an
-    induction variable used outside its own update. Builtin string
+    induction variable used outside its own update. It checks
+    globals, the heap and the loop function's own locals, whose values
+    carry across iterations; callee frames are skipped. Builtin string
     reads ([strlen], [puts], [printf]) reach it through the
     interpreter's read hook. When no distributed invocation runs an
     iteration, N machines would each only replay that run, so the
