@@ -272,6 +272,7 @@ let analyze (prog : Ast.program) : result =
       Ast.fname = "__globals";
       freturn = Types.Tvoid;
       fformals = [];
+      fformal_aids = [];
       flocals = [];
       fbody = Ast.skip;
     }

@@ -397,8 +397,8 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
   let g = Graph.create lid (loop_sites prog loop_stmt) in
   let m = Interp.Machine.load prog in
   let st = m.Interp.Machine.st in
-  (* loading stamps the formals' aids, so every aid the run reports is
-     below [next_aid] from here on *)
+  (* every aid the run reports, the formals' included, was drawn from
+     the program's counter when it was built *)
   let n_aids = prog.Ast.next_aid in
   let is_site = Array.make n_aids false in
   List.iter (fun s -> is_site.(s.Graph.s_aid) <- true) g.Graph.sites;

@@ -123,8 +123,8 @@ let induction_update_aids (prog : Ast.program) ~n =
 (* Access ids whose verdict is [Induction], as an aid-indexed table
    built once per run: the observers consult it on every access, where
    [Expand.Plan.verdict]'s lookup would allocate an option. Aids past
-   its end (the argument-binding stores each machine load stamps) are
-   never induction accesses. *)
+   its end (argument-binding stores among them) are never induction
+   accesses. *)
 let induction_table (plan : Expand.Plan.t) : bool array =
   let verdicts = plan.Expand.Plan.verdicts in
   let n = Hashtbl.fold (fun aid _ acc -> max acc (aid + 1)) verdicts 0 in
@@ -242,8 +242,8 @@ let prepass ~(prog : Ast.program) ~(induction : bool array)
   let m = Interp.Machine.load prog in
   let st = m.Interp.Machine.st in
   Interp.Machine.set_global_int st Expand.Names.nthreads domains;
-  (* loading stamps the formals' aids, so every aid the run reports is
-     below [next_aid] from here on *)
+  (* every aid the run reports, the formals' included, was drawn from
+     the program's counter when it was built *)
   let n_aids = prog.Ast.next_aid in
   let upd_stores, upd_loads = induction_update_aids prog ~n:n_aids in
   let n_lids = List.fold_left (fun n lid -> max n (lid + 1)) 0 lids in
@@ -678,8 +678,10 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     let steal_lost = Array.make n 0 in
     let chunks_run = Array.make n 0 in
     let merges = Array.make n 0 in
-    (* Machines must be loaded sequentially: [load] stamps fresh access
-       ids into the (shared) program. *)
+    (* [load] only reads the shared program (formal ids are drawn when
+       it is built), so every machine reports the ids the plan and the
+       pre-pass saw; the machines are still loaded here, one after
+       another, rather than each inside its own domain. *)
     let machines = Array.init n (fun _ -> Interp.Machine.load prog) in
     Array.iter
       (fun m ->

@@ -385,6 +385,8 @@ let pass1 (ctx : tctx) : unit =
         {
           f with
           Ast.fformals = f.Ast.fformals @ span_formals;
+          fformal_aids =
+            f.Ast.fformal_aids @ List.map (fun _ -> fresh ctx) span_formals;
           flocals = f.Ast.flocals @ span_locals;
           fbody = body;
         })
@@ -1121,6 +1123,7 @@ let pass2 (ctx : tctx) : unit =
       Ast.fname = Names.init_fun;
       freturn = Types.Tvoid;
       fformals = [];
+      fformal_aids = [];
       flocals = [];
       fbody = Ast.mk_stmt (Ast.Sseq init_body);
     }

@@ -1540,13 +1540,16 @@ let load (prog : Ast.program) : t =
         (f.Ast.fformals @ f.Ast.flocals);
       let ctx = { m; fe; slots; regs; ret } in
       let body = compile_stmt ctx f.Ast.fbody in
+      if List.compare_lengths f.Ast.fformals f.Ast.fformal_aids <> 0 then
+        invalid_arg
+          (Printf.sprintf "load: formals of %s have no access ids" f.Ast.fname);
       let formals =
-        List.map
-          (fun (n, _) ->
+        List.map2
+          (fun (n, _) aid ->
             let off, t = List.assoc n slot_list in
             let width = if Types.is_scalar t then scalar_width Loc.dummy t else 0 in
-            (off, Ast.fresh_aid prog, width))
-          f.Ast.fformals
+            (off, aid, width))
+          f.Ast.fformals f.Ast.fformal_aids
       in
       (Hashtbl.find m.funs f.Ast.fname) :=
         Some
@@ -1567,6 +1570,7 @@ let load (prog : Ast.program) : t =
       Ast.fname = "__global_init";
       freturn = Types.Tvoid;
       fformals = [];
+      fformal_aids = [];
       flocals = [];
       fbody = Ast.skip;
     }

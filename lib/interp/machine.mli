@@ -102,7 +102,13 @@ val output : state -> string
 (** Compile-time constant folding over integer literals and [sizeof]. *)
 val fold_constants : Types.composite_env -> Ast.exp -> Ast.exp
 
-(** Compile a type-checked program into a runnable machine. *)
+(** Compile a type-checked program into a runnable machine. Loading
+    only reads the program: an argument-binding store reports the
+    formal's id from [Ast.fundef.fformal_aids], drawn when the program
+    was built, so every machine loaded from one program reports the
+    same ids, however many were loaded before it.
+    @raise Invalid_argument if a function's formals have no ids (the
+    program was not type-checked). *)
 val load : Ast.program -> t
 
 (** Run [main] (after global initializers); returns the exit code. *)

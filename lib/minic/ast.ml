@@ -91,6 +91,11 @@ type fundef = {
   fname : string;
   freturn : Types.ty;
   fformals : (string * Types.ty) list;
+  fformal_aids : aid list;
+      (** one access id per formal, for the store that binds its
+          argument at a call; drawn when the program is built (by the
+          type checker, or by the pass that adds the formal), so
+          loading a program never changes it *)
   flocals : (string * Types.ty) list;
   fbody : stmt;
 }

@@ -680,6 +680,7 @@ let parse_topdecl st : unit =
             fname = name;
             freturn = ty;
             fformals = formals;
+            fformal_aids = [];
             flocals = ctx.locals;
             fbody = mk_stmt ~loc:l (Sseq stmts);
           }

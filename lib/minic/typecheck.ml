@@ -446,6 +446,19 @@ let check_fun (env : env) (f : fundef) : fundef =
   let body = norm_stmt fe f.fbody in
   { f with fbody = body; flocals = f.flocals @ List.rev fe.new_locals }
 
+(* Fresh access ids for the formals of [f] that have none yet (the
+   parser gives none), in order. *)
+let number_formals (p : program) (f : fundef) : fundef =
+  let rec extend aids formals =
+    match (aids, formals) with
+    | a :: aids, _ :: formals -> a :: extend aids formals
+    | [], _ :: formals ->
+      let a = fresh_aid p in
+      a :: extend [] formals
+    | _, [] -> []
+  in
+  { f with fformal_aids = extend f.fformal_aids f.fformals }
+
 (** Type-check and normalize a whole program in place. Idempotent:
     running it again changes nothing (all ids already assigned, all
     sugar already removed). Raises {!Loc.Error} on ill-typed input. *)
@@ -468,7 +481,11 @@ let check (p : program) : unit =
   p.globals <-
     List.map
       (function Gfun f -> Gfun (check_fun env f) | g -> g)
-      p.globals
+      p.globals;
+  (* after every other id, in declaration order: the numbering loading
+     gave the formals when it drew their ids itself *)
+  p.globals <-
+    List.map (function Gfun f -> Gfun (number_formals p f) | g -> g) p.globals
 
 (** Parse + check, the usual front door. *)
 let parse_and_check ?file src : program =

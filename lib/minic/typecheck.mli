@@ -2,7 +2,8 @@
 
     Beyond ordinary C-style checking, this pass establishes the
     invariants the rest of the system relies on: every [Lval] carries a
-    unique access id (one load) and every store site one id;
+    unique access id (one load), every store site one id, and every
+    formal one for the store that binds its argument;
     expression-level calls and conditionals are hoisted into
     statements; pointer indexing is rewritten to explicit dereference;
     struct assignment is exploded field-by-field (§3.3.1 of the
@@ -47,7 +48,8 @@ val lval_ty : ?loc:Loc.t -> fenv -> Ast.lval -> Types.ty
 
 val exp_ty : ?loc:Loc.t -> fenv -> Ast.exp -> Types.ty
 
-(** Type-check and normalize a whole program in place.
+(** Type-check and normalize a whole program in place, and give every
+    formal without an access id one ([Ast.fundef.fformal_aids]).
     Raises {!Loc.Error} on ill-typed input. *)
 val check : Ast.program -> unit
 

@@ -7,10 +7,10 @@
    classifier produced them (so any effect of the graph's table order
    shows up).
 
-   Digest a freshly parsed program, analysing its loops in order:
-   [Interp.Machine.load] stamps new formal aids into the program on
-   every load, so earlier runs shift the aids a later profile sees.
-   [render] gives the text a digest is taken over, for diffing. *)
+   A program's ids, its formals' included, are drawn when it is
+   parsed and type-checked, so a digest does not depend on what ran on
+   the program before. [render] gives the text a digest is taken over,
+   for diffing. *)
 
 let render (a : Privatize.Analyze.result) : string =
   let pr = a.Privatize.Analyze.profile in

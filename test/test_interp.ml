@@ -218,6 +218,37 @@ let failure_tests =
 (* Cost accounting sanity: cycles and stats move as expected. *)
 let accounting_tests =
   [
+    Alcotest.test_case "loading is pure" `Quick (fun () ->
+        (* a formal's access id is drawn when the program is built:
+           loading twice changes no id, and both machines report the
+           formal's id for the store that binds its argument *)
+        let p =
+          Typecheck.parse_and_check
+            "int g;\n\
+             int f(int x, long y){ g = x; return x + 1; }\n\
+             int main(void){ return f(2, 3L) - 3; }"
+        in
+        let formal_aids () = (Option.get (Ast.find_fun p "f")).Ast.fformal_aids in
+        let aids = formal_aids () in
+        let next = p.Ast.next_aid in
+        Alcotest.(check int) "one id per formal" 2 (List.length aids);
+        let binding_stores () =
+          let m = Interp.Machine.load p in
+          let seen = ref [] in
+          m.Interp.Machine.st.Interp.Machine.observer <-
+            Some
+              (fun aid kind _ _ ->
+                if kind = Visit.Store && List.mem aid aids then
+                  seen := aid :: !seen);
+          Alcotest.(check int) "exit code" 0 (Interp.Machine.run m);
+          List.sort compare !seen
+        in
+        let first = binding_stores () in
+        let second = binding_stores () in
+        Alcotest.(check int) "next_aid" next p.Ast.next_aid;
+        Alcotest.(check (list int)) "formal ids" aids (formal_aids ());
+        Alcotest.(check (list int)) "binding stores" (List.sort compare aids) first;
+        Alcotest.(check (list int)) "same ids on both machines" first second);
     Alcotest.test_case "cycles monotone with work" `Quick (fun () ->
         let cycles src =
           let p = Typecheck.parse_and_check src in

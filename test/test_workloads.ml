@@ -15,7 +15,10 @@ let load (w : Workloads.Workload.t) =
   (p, lids, analyses)
 
 (* Golden dependence-graph digests (see golden.ml), one per parallel
-   loop, recorded with the earlier per-byte-record profiler. *)
+   loop, recorded with the earlier per-byte-record profiler. h263's
+   second was re-recorded when loading stopped drawing formal ids: its
+   graph's binding-store ids moved from 258-266 to 249-257, the ids a
+   load of a fresh parse gave them before, and nothing else changed. *)
 let golden =
   [
     ("dijkstra", [ "5f6c44c8cc980d395fca4056c430d6f1" ]);
@@ -23,7 +26,7 @@ let golden =
     ("mpeg2-encoder", [ "27f449817cd2d975f2d73921a6bd46c5" ]);
     ("mpeg2-decoder", [ "5d37231277ce06bc114f50a73e1e0e57" ]);
     ( "h263-encoder",
-      [ "95aba2e495cbcd4dd072a9a6e945b6ad"; "5f438d635c11aab3e6ca0748b2c77d8c" ]
+      [ "95aba2e495cbcd4dd072a9a6e945b6ad"; "53f74cbd3e507206c69f65f8579a05c4" ]
     );
     ("256.bzip2", [ "5d00684ea83d65142144032385c40bee" ]);
     ("456.hmmer", [ "9819a59dc92aa1bd1c2ab337f4f33ad7" ]);
