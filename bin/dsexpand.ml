@@ -50,7 +50,10 @@ let check_arg =
   Arg.(
     value & flag
     & info [ "check" ]
-        ~doc:"Run original and expanded programs; verify equal output.")
+        ~doc:
+          "Run original and expanded programs; verify equal output and \
+           exit codes (with -t, of the simulated parallel run too); exit \
+           1 on any mismatch.")
 
 let threads_arg =
   Arg.(
@@ -923,6 +926,7 @@ let run input workload dump_deps report check threads no_opt unselective
         res.Expand.Transform.privatized;
       Printf.printf "sequential: exit %d/%d, output %s\n" code0 code1
         (if String.equal out0 out1 then "identical" else "DIFFERS");
+      let same = ref (String.equal out0 out1 && code0 = code1) in
       if threads > 1 then begin
         let specs = List.map Parexec.Sim.spec_of_analysis analyses in
         let seq = Parexec.Sim.run_sequential prog lids in
@@ -947,6 +951,7 @@ let run input workload dump_deps report check threads no_opt unselective
           | pr -> pr
         in
         let ok = String.equal pr.Parexec.Sim.pr_output out0 in
+        same := !same && ok && pr.Parexec.Sim.pr_exit = code0;
         let lsum l = List.fold_left (fun a (_, c) -> a + c) 0 l in
         let loop_speedup =
           float_of_int (lsum seq.Parexec.Sim.sq_loop)
@@ -968,9 +973,12 @@ let run input workload dump_deps report check threads no_opt unselective
           "parallel T=%d: output %s, loop speedup %.2fx, total %.2fx\n"
           threads
           (if ok then "identical" else "DIFFERS")
-          loop_speedup total_speedup
+          loop_speedup total_speedup;
+        if pr.Parexec.Sim.pr_exit <> code0 then
+          Printf.printf "parallel T=%d: exit %d, original %d\n" threads
+            pr.Parexec.Sim.pr_exit code0
       end;
-      if not (String.equal out0 out1) then exit 1
+      if not !same then exit 1
     end
     else if not explain && heatmap = None then
       print_string

@@ -999,7 +999,9 @@ let rec compile_stmt (ctx : ctx) (s : Ast.stmt) : unit -> unit =
    iteration about to run (a condition read of a value written by the
    previous iteration is then correctly seen as loop-carried). A loop
    that exits via its condition thus reports one trailing [Iter] whose
-   segment contains only the failing test. *)
+   segment contains only the failing test. A [break] or a [return]
+   leaves the loop through [Exit] too; a runtime fault does not (the
+   domain machines' [Exit] handler waits on a barrier). *)
 and compile_loop st lid cc cbody cstep : unit -> unit =
   fun () ->
     (match st.loop_hook with Some h -> h lid Enter 0 | None -> ());
@@ -1023,7 +1025,11 @@ and compile_loop st lid cc cbody cstep : unit -> unit =
            continue_ := false
          end
        done
-     with Break_exc -> ());
+     with
+     | Break_exc -> ()
+     | Return_exc ->
+       (match st.loop_hook with Some h -> h lid Exit 0 | None -> ());
+       raise_notrace Return_exc);
     match st.loop_hook with Some h -> h lid Exit 0 | None -> ()
 
 (* Store the value a call left in the return slot (of kind [k]) into

@@ -303,9 +303,10 @@ let zero_trip () = ignore (run_domains ~domains:2 zero_trip_src)
 (* Pre-pass demotions                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One source per demotion reason: each program's only loop must
-   replicate for exactly that reason, and the run must still match the
-   original program's output and exit code. *)
+(* One source per demotion reason: each program's first loop must
+   replicate for exactly that reason, any later loop must distribute,
+   and the run must still match the original program's output and exit
+   code. *)
 let demotions =
   [
     ( "step reads body data",
@@ -372,6 +373,36 @@ int main(void)
     out[i] = i + 1;
   }
   printf("%d %d\n", out[39], out[40]);
+  return 0;
+}|} );
+    (* a return leaves the first loop: the second one, in main, is
+       not nested in it *)
+    ( "body return, then a DOALL loop",
+      "the loop body may return from the function",
+      {|
+int tmp[4];
+int out[64];
+long b[64];
+int f(void)
+{
+  int i;
+#pragma parallel
+  for (i = 0; i < 64; i++) {
+    tmp[0] = i * 3;
+    out[i] = tmp[0] + 1;
+    if (i == 40) return i;
+  }
+  return 0;
+}
+int main(void)
+{
+  int i;
+  long s = 0;
+  int r = f();
+#pragma parallel
+  for (i = 0; i < 64; i++) b[i] = b[i] + i * 5;
+  for (i = 0; i < 64; i++) s = s + b[i];
+  printf("%d %d %ld\n", r, tmp[0], s);
   return 0;
 }|} );
     (* strlen reads the bytes earlier iterations stored: a flow the
@@ -448,7 +479,14 @@ let demotion_cases =
           Alcotest.(check string)
             "decision"
             ("replicated (" ^ why ^ ")")
-            (Domexec.Exec.decision_to_string (first_decision r))))
+            (Domexec.Exec.decision_to_string (first_decision r));
+          List.iter
+            (fun (lr : Domexec.Exec.loop_report) ->
+              Alcotest.(check string)
+                (Printf.sprintf "loop %d" lr.Domexec.Exec.lr_lid)
+                "distributed"
+                (Domexec.Exec.decision_to_string lr.Domexec.Exec.lr_decision))
+            (List.tl r.Domexec.Exec.dx_loops)))
     demotions
 
 (* ------------------------------------------------------------------ *)

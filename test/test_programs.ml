@@ -20,12 +20,17 @@ let read_file path =
   s
 
 (* Golden dependence-graph digests (see golden.ml), one per parallel
-   loop, recorded with the earlier per-byte-record profiler. A new
-   program needs an entry. *)
+   loop, recorded with the earlier per-byte-record profiler (the
+   early-return programs with the per-loop profiler). A new program
+   needs an entry. *)
 let golden =
   [
+    ("early_return.c", [ "35baff681ad01558fae05ff621c73cb7" ]);
     ("granules.c", [ "2d91966581a32b49c4317b82053fceed" ]);
     ("recast.c", [ "b4453d6d356b8efcdeece0c6b322107a" ]);
+    ( "return_then_doall.c",
+      [ "cacb147448bb335a87487c56d6e6b795"; "35520cc5db3eff60e39e7d0543a9e62f" ]
+    );
     ("spans.c", [ "1f4785ab153242f029b65ffc2fe0429c" ]);
     ("stencil.c", [ "110ade5b5c33211205dea80e78d4c22f" ]);
     ("treework.c", [ "fb83994442a2f972898cc0cbe8b78b39" ]);
