@@ -3,8 +3,9 @@
     The paper obtains its loop-level dependence graphs from off-line
     profiling runs ([38,39] in its references) followed by manual
     verification; this module plays that role. It executes the program
-    once under the interpreter's access observer and builds the exact
-    graph of Definition 1 at byte granularity:
+    under the interpreter's access observer, once for all the loops of
+    a pass (see "One pass over many loops" below), and builds each
+    loop's exact graph of Definition 1 at byte granularity:
 
     - a read of a byte last written in the same iteration is a
       loop-independent flow dependence; written in an earlier iteration,
@@ -66,10 +67,11 @@ let reachable_funs (prog : Ast.program) (stmt : Ast.stmt) : Ast.fundef list =
 
 (** Static access sites of a loop: its body and condition (+ step for
     for-loops; the for-init runs outside the iteration space), plus
-    the bodies of all functions transitively callable from the loop —
-    Definition 1's vertex set is "all memory accesses potentially
-    executed in the loop". *)
-let loop_sites (prog : Ast.program) (loop_stmt : Ast.stmt) : Graph.site list =
+    the bodies of [callees], the functions transitively callable from
+    the loop — Definition 1's vertex set is "all memory accesses
+    potentially executed in the loop". *)
+let loop_sites (loop_stmt : Ast.stmt) (callees : Ast.fundef list) :
+    Graph.site list =
   let of_access (a : Visit.access) =
     {
       Graph.s_aid = a.Visit.acc_aid;
@@ -88,10 +90,46 @@ let loop_sites (prog : Ast.program) (loop_stmt : Ast.stmt) : Graph.site list =
       @ Visit.accesses_of_stmt body
     | _ -> invalid_arg "loop_sites: not a loop"
   in
-  let callee =
-    List.concat_map Visit.accesses_of_fun (reachable_funs prog loop_stmt)
-  in
+  let callee = List.concat_map Visit.accesses_of_fun callees in
   List.map of_access (direct @ callee)
+
+(* Loop ids of the loops in [s], [s]'s own included. *)
+let loops_in (s : Ast.stmt) : Ast.lid list =
+  let acc = ref [] in
+  ignore
+    (Visit.map_stmt
+       (fun s ->
+         (match s.Ast.skind with
+         | Ast.Swhile (l, _, _) | Ast.Sfor (l, _, _, _, _) -> acc := l :: !acc
+         | _ -> ());
+         s)
+       s);
+  !acc
+
+(* A candidate loop's statement, the functions callable from it, and
+   the loops that may run while it is active: its own, those inside
+   its statement and those in the callable functions. *)
+type candidate = {
+  c_stmt : Ast.stmt;
+  c_callees : Ast.fundef list;
+  c_under : Ast.lid list;
+}
+
+let candidate (prog : Ast.program) (lid : Ast.lid) : candidate =
+  match Visit.find_loop_fun prog lid with
+  | None -> invalid_arg (Printf.sprintf "profile: no loop with id %d" lid)
+  | Some (_, s) ->
+    let callees = reachable_funs prog s in
+    {
+      c_stmt = s;
+      c_callees = callees;
+      c_under =
+        loops_in s @ List.concat_map (fun f -> loops_in f.Ast.fbody) callees;
+    }
+
+(* Whether one of two candidate loops may run while the other is
+   active (a loop may always nest in itself). *)
+let may_nest (la, a) (lb, b) = List.mem lb a.c_under || List.mem la b.c_under
 
 (* ------------------------------------------------------------------ *)
 (* Shadow state                                                        *)
@@ -382,115 +420,190 @@ let rec add_anti f nodes aid iter n =
     add_anti f nodes aid iter nodes.(n + n_next)
   end
 
+
 (* ------------------------------------------------------------------ *)
-(* The profiler                                                        *)
+(* One pass over many loops                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Profile [lid] by running the whole program once. *)
-let profile (prog : Ast.program) (lid : Ast.lid) : profile =
+(* A pass profiles loops that can never be active at the same time in
+   one run of the program, over one shadow. Each invocation of one of
+   its loops gets a fresh epoch, numbered across all of them, and the
+   shadow's invocation fields hold epochs; [owners] maps an epoch to
+   its loop. While a loop is active, its graph, edge filter, site,
+   count and mark tables are the ones in use (the [Enter] event
+   switches them).
+
+   Owner rule. To a separate run of loop L, the accesses of another
+   loop M are accesses outside L, so a pass treats a unit whose writer
+   belongs to M's epoch, seen while L is active, as such a run of each
+   loop would see it: a load marks the writer downwards-exposed in M's
+   graph (read after M) and the load upwards-exposed in L's (no write
+   of L reaches it); a store marks the writer killed-after-loop in M's
+   graph. M's stores and reads reset the unit's reader set as an
+   outside store would: stale readers are dropped, since a store only
+   pairs with readers of its own epoch. Everything else is what a run
+   of the active loop alone does, so each graph equals a separate
+   run's, tables filling in the same order (the granule splits differ,
+   which changes no result: see "Shadow state"). *)
+type loop_state = {
+  graph : Graph.t;
+  filter : filter;
+  is_site : bool array;  (** aid-indexed: the loop's sites *)
+  counts : int array;  (** aid-indexed dynamic counts *)
+  seen_up : bool array;
+  seen_down : bool array;
+  seen_killed : bool array;
+}
+
+(* Exposure marks and dynamic counts reach the graph's tables on their
+   first occurrence, so the tables fill in the order they always have;
+   the final counts are written after the run. *)
+let[@inline] mark seen add (ls : loop_state) aid =
+  if not seen.(aid) then begin
+    seen.(aid) <- true;
+    add ls.graph aid
+  end
+
+let mark_up ls aid = mark ls.seen_up Graph.mark_upwards_exposed ls aid
+let mark_down ls aid = mark ls.seen_down Graph.mark_downwards_exposed ls aid
+
+let mark_killed ls aid =
+  mark ls.seen_killed Graph.mark_killed_after_loop ls aid
+
+let loop_state n_aids lid (c : candidate) =
+  let g = Graph.create lid (loop_sites c.c_stmt c.c_callees) in
+  let is_site = Array.make n_aids false in
+  List.iter (fun s -> is_site.(s.Graph.s_aid) <- true) g.Graph.sites;
+  {
+    graph = g;
+    filter = filter_create g n_aids;
+    is_site;
+    counts = Array.make n_aids 0;
+    seen_up = Array.make n_aids false;
+    seen_down = Array.make n_aids false;
+    seen_killed = Array.make n_aids false;
+  }
+
+(* The pass over [cands], whose loops must not nest. *)
+let run_pass (prog : Ast.program) (cands : (Ast.lid * candidate) list) :
+    profile list =
   Telemetry.Span.wall "phase.profile" @@ fun () ->
-  let loop_stmt =
-    match Visit.find_loop_fun prog lid with
-    | Some (_, s) -> s
-    | None -> invalid_arg (Printf.sprintf "profile: no loop with id %d" lid)
-  in
-  let g = Graph.create lid (loop_sites prog loop_stmt) in
   let m = Interp.Machine.load prog in
   let st = m.Interp.Machine.st in
   (* every aid the run reports, the formals' included, was drawn from
      the program's counter when it was built *)
   let n_aids = prog.Ast.next_aid in
-  let is_site = Array.make n_aids false in
-  List.iter (fun s -> is_site.(s.Graph.s_aid) <- true) g.Graph.sites;
-  let counts = Array.make n_aids 0 in
-  (* exposure marks and dynamic counts reach the graph's tables on
-     their first occurrence, so the tables fill in the order they
-     always have; the final counts are written after the run *)
-  let mark add =
-    let seen = Array.make n_aids false in
-    fun aid ->
-      if not seen.(aid) then begin
-        seen.(aid) <- true;
-        add g aid
-      end
+  let loops =
+    Array.of_list (List.map (fun (lid, c) -> loop_state n_aids lid c) cands)
   in
-  let mark_up = mark Graph.mark_upwards_exposed in
-  let mark_down = mark Graph.mark_downwards_exposed in
-  let mark_killed = mark Graph.mark_killed_after_loop in
-  let f = filter_create g n_aids in
+  let index = Array.make prog.Ast.next_lid (-1) in
+  List.iteri (fun k (lid, _) -> index.(lid) <- k) cands;
   let sh = shadow_create () in
+  let in_pass l = l < Array.length index && index.(l) >= 0 in
+  let cur = ref loops.(0) in
+  let cur_lid = ref (-1) in
+  let owners = ref (Array.make 16 loops.(0)) in
   let in_loop = ref false in
   let cur_iter = ref 0 in
-  let cur_inv = ref (-1) in
+  let epoch = ref (-1) in
   let enter_cycles = ref 0 in
   let hook l ev i =
-    if l = lid then
-      match ev with
-      | Interp.Machine.Enter ->
+    match ev with
+    | Interp.Machine.Iter ->
+      (* only the loop entered last can be iterating *)
+      if l = !cur_lid then cur_iter := i
+    | Interp.Machine.Enter ->
+      if in_pass l then begin
+        let ls = loops.(index.(l)) in
+        incr epoch;
+        if !epoch = Array.length !owners then begin
+          let o = Array.make (2 * !epoch) ls in
+          Array.blit !owners 0 o 0 !epoch;
+          owners := o
+        end;
+        !owners.(!epoch) <- ls;
+        cur := ls;
+        cur_lid := l;
         in_loop := true;
-        incr cur_inv;
         cur_iter := 0;
-        g.Graph.invocations <- g.Graph.invocations + 1;
+        ls.graph.Graph.invocations <- ls.graph.Graph.invocations + 1;
         enter_cycles := st.Interp.Machine.cycles
-      | Interp.Machine.Iter -> cur_iter := i
-      | Interp.Machine.Exit ->
+      end
+    | Interp.Machine.Exit ->
+      if in_pass l then begin
+        let g = loops.(index.(l)).graph in
         in_loop := false;
         (* the trailing Iter only ran the failing condition *)
         g.Graph.iterations <- g.Graph.iterations + !cur_iter;
         g.Graph.loop_cycles <-
           g.Graph.loop_cycles + (st.Interp.Machine.cycles - !enter_cycles)
+      end
   in
   (* the units [walk] applies: in-loop loads and stores, and loads,
-     stores and frees outside the loop *)
+     stores and frees outside the pass's loops *)
   let load aid p o =
-    let iter = !cur_iter and inv = !cur_inv in
+    let ls = !cur in
+    let iter = !cur_iter and e = !epoch in
     let w = p.(o + f_writer) in
     if w >= 0 then begin
-      if p.(o + f_inv) = inv then
-        add_edge f ~src:w ~dst:aid ~kind:Graph.Flow
+      let we = p.(o + f_inv) in
+      if we = e then
+        add_edge ls.filter ~src:w ~dst:aid ~kind:Graph.Flow
           ~carried:(p.(o + f_iter) < iter)
       else begin
-        (* written by a previous invocation, read by this one:
-           live-out of the loop and live-in to it *)
-        mark_down w;
-        mark_up aid
+        (* written before this invocation, by an earlier one or by
+           another loop: live-out of the writer's loop and live-in to
+           this one *)
+        mark_down !owners.(we) w;
+        mark_up ls aid
       end
     end
-    else mark_up aid;
+    else mark_up ls aid;
     (* only a site's read can source an anti edge *)
-    if is_site.(aid) then add_reader sh p o aid iter inv
+    if ls.is_site.(aid) then add_reader sh p o aid iter e
   in
   let store aid p o =
-    let iter = !cur_iter and inv = !cur_inv in
+    let ls = !cur in
+    let iter = !cur_iter and e = !epoch in
     let w = p.(o + f_writer) in
-    if w >= 0 && p.(o + f_inv) = inv then
-      add_edge f ~src:w ~dst:aid ~kind:Graph.Output
-        ~carried:(p.(o + f_iter) < iter);
+    if w >= 0 then begin
+      let we = p.(o + f_inv) in
+      if we = e then
+        add_edge ls.filter ~src:w ~dst:aid ~kind:Graph.Output
+          ~carried:(p.(o + f_iter) < iter)
+      else
+        let owner = !owners.(we) in
+        (* another loop's value, overwritten outside that loop *)
+        if owner != ls then mark_killed owner w
+    end;
     let h = p.(o + f_readers) in
     if h >= 0 then begin
-      if sh.nodes.(h + n_inv) = inv then add_anti f sh.nodes aid iter h;
+      if sh.nodes.(h + n_inv) = e then add_anti ls.filter sh.nodes aid iter h;
       clear_readers sh p o
     end;
     p.(o + f_writer) <- aid;
     p.(o + f_iter) <- iter;
-    p.(o + f_inv) <- inv
+    p.(o + f_inv) <- e
   in
   let load_after _ p o =
     let w = p.(o + f_writer) in
-    if w >= 0 then mark_down w
+    if w >= 0 then mark_down !owners.(p.(o + f_inv)) w
   in
   let store_after _ p o =
     let w = p.(o + f_writer) in
     (* overwriting an in-loop value that was never read after the
        loop: a loop-boundary output dependence *)
-    if w >= 0 then mark_killed w;
+    if w >= 0 then mark_killed !owners.(p.(o + f_inv)) w;
     reset sh p o
   in
   let freed _ p o = reset sh p o in
   let observe aid kind addr size =
     if !in_loop then begin
-      if is_site.(aid) then begin
-        if counts.(aid) = 0 then Hashtbl.replace g.Graph.dyn_counts aid 0;
+      let ls = !cur in
+      if ls.is_site.(aid) then begin
+        let counts = ls.counts in
+        if counts.(aid) = 0 then
+          Hashtbl.replace ls.graph.Graph.dyn_counts aid 0;
         counts.(aid) <- counts.(aid) + 1
       end;
       match kind with
@@ -515,23 +628,83 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
       (fun base size ->
         walk sh ~alloc:false ~mutates:true freed (-1) base size);
   let exit_code = Interp.Machine.run m in
-  Array.iteri
-    (fun aid n -> if n > 0 then Hashtbl.replace g.Graph.dyn_counts aid n)
-    counts;
-  g.Graph.total_cycles <- st.Interp.Machine.cycles;
-  if Telemetry.Sink.enabled () then begin
-    Telemetry.Span.count "profile.sites" (List.length g.Graph.sites);
-    Telemetry.Span.count "profile.edges" (Hashtbl.length g.Graph.edges)
-  end;
-  let profile =
-    {
-      graph = g;
-      stats = st.Interp.Machine.stats;
-      exit_code;
-      output = Interp.Machine.output st;
-      peak_bytes = Interp.Memory.peak_bytes st.Interp.Machine.mem;
-    }
+  let output = Interp.Machine.output st in
+  let peak_bytes = Interp.Memory.peak_bytes st.Interp.Machine.mem in
+  let profiles =
+    Array.to_list loops
+    |> List.map (fun ls ->
+           let g = ls.graph in
+           Array.iteri
+             (fun aid n ->
+               if n > 0 then Hashtbl.replace g.Graph.dyn_counts aid n)
+             ls.counts;
+           g.Graph.total_cycles <- st.Interp.Machine.cycles;
+           if Telemetry.Sink.enabled () then begin
+             Telemetry.Span.count "profile.sites" (List.length g.Graph.sites);
+             Telemetry.Span.count "profile.edges" (Hashtbl.length g.Graph.edges)
+           end;
+           { graph = g; stats = st.Interp.Machine.stats; exit_code; output; peak_bytes })
   in
-  (* the next profile's machine reuses this one's arena *)
+  (* the next pass's machine reuses this one's arena *)
   Interp.Memory.release st.Interp.Machine.mem;
-  profile
+  profiles
+
+(** Profile the loops [lids] in one run of the program. *)
+let profile_loops (prog : Ast.program) (lids : Ast.lid list) : profile list =
+  let cands = List.map (fun lid -> (lid, candidate prog lid)) lids in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j && may_nest a b then
+            invalid_arg
+              (Printf.sprintf "profile_loops: loops %d and %d may nest" (fst a)
+                 (fst b)))
+        cands)
+    cands;
+  match cands with [] -> [] | _ -> run_pass prog cands
+
+(* The pass [profile] runs for [lid]: the program's parallel loops in
+   order, each in the first pass holding no loop it may nest with. *)
+let pass_of (prog : Ast.program) (lid : Ast.lid) : Ast.lid list =
+  let cands =
+    List.map (fun l -> (l, candidate prog l)) prog.Ast.parallel_loops
+  in
+  let rec place c = function
+    | [] -> [ [ c ] ]
+    | pass :: passes ->
+      if List.exists (may_nest c) pass then pass :: place c passes
+      else (pass @ [ c ]) :: passes
+  in
+  let passes = List.fold_left (fun ps c -> place c ps) [] cands in
+  match List.find_opt (List.mem_assoc lid) passes with
+  | Some pass -> List.map fst pass
+  | None -> [ lid ]
+
+(* The profiles passes made for loops other than the ones asked for,
+   kept for the next calls on the same program: each is handed out
+   once, the slot is emptied with the last, and a pass over another
+   program drops them. *)
+let kept : (Ast.program * (Ast.lid * profile) list) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(** Profile [lid], running its pass unless an earlier call's pass
+    already did. *)
+let profile (prog : Ast.program) (lid : Ast.lid) : profile =
+  let kept_here =
+    match Domain.DLS.get kept with
+    | Some (p, profiles) when p == prog -> profiles
+    | _ -> []
+  in
+  let profiles =
+    if List.mem_assoc lid kept_here then kept_here
+    else
+      let lids = pass_of prog lid in
+      List.combine lids (profile_loops prog lids)
+      @ List.filter (fun (l, _) -> not (List.mem l lids)) kept_here
+  in
+  Domain.DLS.set kept
+    (match List.remove_assoc lid profiles with
+    | [] -> None
+    | rest -> Some (prog, rest));
+  List.assoc lid profiles

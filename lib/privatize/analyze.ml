@@ -10,13 +10,13 @@ type result = {
   loop_fun : Ast.fundef;
 }
 
-let analyze (prog : Ast.program) (lid : Ast.lid) : result =
+let of_profile (prog : Ast.program) (lid : Ast.lid)
+    (profile : Depgraph.Profiler.profile) : result =
   let loop_fun, loop_stmt =
     match Visit.find_loop_fun prog lid with
     | Some fs -> fs
     | None -> invalid_arg (Printf.sprintf "analyze: no loop with id %d" lid)
   in
-  let profile = Depgraph.Profiler.profile prog lid in
   let induction_vars, classification =
     Telemetry.Span.wall "phase.classify" @@ fun () ->
     let induction_vars = Induction.find prog loop_stmt in
@@ -53,3 +53,6 @@ let analyze (prog : Ast.program) (lid : Ast.lid) : result =
       classification.Classify.provenance
   end;
   { profile; classification; induction_vars; loop_stmt; loop_fun }
+
+let analyze (prog : Ast.program) (lid : Ast.lid) : result =
+  of_profile prog lid (Depgraph.Profiler.profile prog lid)

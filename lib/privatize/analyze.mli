@@ -15,3 +15,7 @@ type result = {
     access per Definitions 4-5.
     @raise Invalid_argument if no loop has id [lid]. *)
 val analyze : Ast.program -> Ast.lid -> result
+
+(** [analyze] over a profile of loop [lid] made elsewhere.
+    @raise Invalid_argument if no loop has id [lid]. *)
+val of_profile : Ast.program -> Ast.lid -> Depgraph.Profiler.profile -> result

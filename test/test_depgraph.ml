@@ -327,6 +327,92 @@ let profile_allocation_bound () =
     true
     (prof -. run <= 0.01 *. float_of_int !calls)
 
+(* --- One pass over many loops. --- *)
+
+(* `dune runtest` runs in test/ of the build tree, `dune exec` from the
+   workspace root. *)
+let root = if Sys.file_exists "programs" then ".." else "."
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let c_files dir =
+  let dir = Filename.concat root dir in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+(* Every program in the repository with a parallel loop. *)
+let all_programs () =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      (w.Workloads.Workload.name, w.Workloads.Workload.source))
+    Workloads.Registry.all
+  @ c_files "test/programs" @ c_files "examples/programs"
+  @ List.map
+      (fun f -> (f, read_file (Filename.concat root ("perfbench/programs/" ^ f))))
+      [ "multi.c"; "rows.c" ]
+
+(* Each loop's profile from the pass it shares with other loops renders
+   as a pass over that loop alone does. *)
+let pass_exact (name, src) () =
+  let p = Typecheck.parse_and_check ~file:name src in
+  let lids = p.Ast.parallel_loops in
+  let shared = List.map (Privatize.Analyze.analyze p) lids in
+  let alone =
+    List.map
+      (fun lid ->
+        Privatize.Analyze.of_profile p lid
+          (List.hd (Depgraph.Profiler.profile_loops p [ lid ])))
+      lids
+  in
+  Alcotest.(check (list string))
+    (name ^ ": renders") (List.map Golden.render alone)
+    (List.map Golden.render shared)
+
+let parse_file name = Typecheck.parse_and_check ~file:name (List.assoc name (all_programs ()))
+
+(* Loops that may nest cannot share a pass: loop 2 of nested.c sits in
+   loop 1's body, and loop 0 in a function loop 1 calls. *)
+let nesting_rejected () =
+  let p = parse_file "nested.c" in
+  List.iter
+    (fun lids ->
+      match Depgraph.Profiler.profile_loops p lids with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+        Alcotest.failf "loops %s shared a pass"
+          (String.concat ", " (List.map string_of_int lids)))
+    [ [ 1; 2 ]; [ 0; 1 ]; [ 2; 1 ] ];
+  Alcotest.(check int)
+    "loops 0 and 2 share one" 2
+    (List.length (Depgraph.Profiler.profile_loops p [ 0; 2 ]))
+
+(* Analysing every loop runs one instrumented pass per group of loops
+   that never nest: one "phase.profile" span each. *)
+let pass_count () =
+  let passes name =
+    let p = parse_file name in
+    let n = ref 0 in
+    let sink =
+      {
+        Telemetry.Sink.emit =
+          (function
+          | Telemetry.Event.Span_begin { name = "phase.profile"; _ } -> incr n
+          | _ -> ());
+        flush = ignore;
+      }
+    in
+    Telemetry.Sink.with_sink sink (fun () ->
+        List.iter
+          (fun lid -> ignore (Privatize.Analyze.analyze p lid))
+          p.Ast.parallel_loops);
+    !n
+  in
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) (name ^ ": passes") n (passes name))
+    [ ("h263-encoder", 1); ("multi.c", 1); ("nested.c", 2); ("passmates.c", 1) ]
+
 (* --- Union-find properties. --- *)
 let uf_tests =
   let open QCheck in
@@ -385,5 +471,12 @@ let () =
           Alcotest.test_case "md5 allocation bound" `Quick
             profile_allocation_bound;
         ] );
+      ( "passes",
+        Alcotest.test_case "nesting loops rejected" `Quick nesting_rejected
+        :: Alcotest.test_case "one pass per group" `Quick pass_count
+        :: List.map
+             (fun (name, src) ->
+               Alcotest.test_case ("exact: " ^ name) `Quick (pass_exact (name, src)))
+             (all_programs ()) );
       ("union-find", uf_tests);
     ]
