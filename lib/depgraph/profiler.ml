@@ -643,7 +643,13 @@ let run_pass (prog : Ast.program) (cands : (Ast.lid * candidate) list) :
              Telemetry.Span.count "profile.sites" (List.length g.Graph.sites);
              Telemetry.Span.count "profile.edges" (Hashtbl.length g.Graph.edges)
            end;
-           { graph = g; stats = st.Interp.Machine.stats; exit_code; output; peak_bytes })
+           {
+             graph = g;
+             stats = st.Interp.Machine.stats;
+             exit_code;
+             output;
+             peak_bytes;
+           })
   in
   (* the next pass's machine reuses this one's arena *)
   Interp.Memory.release st.Interp.Machine.mem;
@@ -666,7 +672,8 @@ let profile_loops (prog : Ast.program) (lids : Ast.lid list) : profile list =
 
 (* The pass [profile] runs for [lid]: the program's parallel loops in
    order, each in the first pass holding no loop it may nest with. *)
-let pass_of (prog : Ast.program) (lid : Ast.lid) : Ast.lid list =
+let pass_of (prog : Ast.program) (lid : Ast.lid) :
+    (Ast.lid * candidate) list =
   let cands =
     List.map (fun l -> (l, candidate prog l)) prog.Ast.parallel_loops
   in
@@ -678,8 +685,8 @@ let pass_of (prog : Ast.program) (lid : Ast.lid) : Ast.lid list =
   in
   let passes = List.fold_left (fun ps c -> place c ps) [] cands in
   match List.find_opt (List.mem_assoc lid) passes with
-  | Some pass -> List.map fst pass
-  | None -> [ lid ]
+  | Some pass -> pass
+  | None -> [ (lid, candidate prog lid) ]
 
 (* The profiles passes made for loops other than the ones asked for,
    kept for the next calls on the same program: each is handed out
@@ -699,9 +706,9 @@ let profile (prog : Ast.program) (lid : Ast.lid) : profile =
   let profiles =
     if List.mem_assoc lid kept_here then kept_here
     else
-      let lids = pass_of prog lid in
-      List.combine lids (profile_loops prog lids)
-      @ List.filter (fun (l, _) -> not (List.mem l lids)) kept_here
+      let pass = pass_of prog lid in
+      List.combine (List.map fst pass) (run_pass prog pass)
+      @ List.filter (fun (l, _) -> not (List.mem_assoc l pass)) kept_here
   in
   Domain.DLS.set kept
     (match List.remove_assoc lid profiles with

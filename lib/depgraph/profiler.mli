@@ -6,10 +6,9 @@
     observer, once for many loops, and builds the exact loop-level
     dependence graph of Definition 1 for each at byte granularity, so
     recasting idioms (bzip2's short/int [zptr]) profile correctly.
-    Freed heap blocks carry no
-    dependences into their next allocation, and argument-binding
-    stores are visible, so stack/heap address reuse cannot fabricate
-    dependences. *)
+    Freed heap blocks carry no dependences into their next allocation,
+    and argument-binding stores are visible, so stack/heap address
+    reuse cannot fabricate dependences. *)
 
 open Minic
 
@@ -30,10 +29,9 @@ type profile = {
     same program (physically) for one of those loops takes its profile
     from there instead of running again. Each kept profile is handed
     out once; the slot is emptied when the last one is, and a call that
-    runs a pass over another program drops it. So
-    [List.map (profile p) p.parallel_loops]
-    runs one pass per group, and every profile equals what a pass over
-    its loop alone gives.
+    runs a pass over another program drops it. So [List.map (profile p)
+    p.parallel_loops] runs one pass per group, and every profile equals
+    what a pass over its loop alone gives.
     @raise Invalid_argument if no loop has id [lid]. *)
 val profile : Ast.program -> Ast.lid -> profile
 

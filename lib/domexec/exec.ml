@@ -123,8 +123,7 @@ let induction_update_aids (prog : Ast.program) ~n =
 (* Access ids whose verdict is [Induction], as an aid-indexed table
    built once per run: the observers consult it on every access, where
    [Expand.Plan.verdict]'s lookup would allocate an option. Aids past
-   its end (argument-binding stores among them) are never induction
-   accesses. *)
+   its end are never induction accesses. *)
 let induction_table (plan : Expand.Plan.t) : bool array =
   let verdicts = plan.Expand.Plan.verdicts in
   let n = Hashtbl.fold (fun aid _ acc -> max acc (aid + 1)) verdicts 0 in
@@ -680,8 +679,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
     let merges = Array.make n 0 in
     (* [load] only reads the shared program (formal ids are drawn when
        it is built), so every machine reports the ids the plan and the
-       pre-pass saw; the machines are still loaded here, one after
-       another, rather than each inside its own domain. *)
+       pre-pass saw. *)
     let machines = Array.init n (fun _ -> Interp.Machine.load prog) in
     Array.iter
       (fun m ->

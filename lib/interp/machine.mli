@@ -32,8 +32,9 @@ type stats = {
     attribute to the iteration about to run; a loop that exits via its
     condition reports one trailing [Iter]. A loop left by [break] or
     [return] reports [Exit] too; one left by a runtime error or by
-    [exit] does not. [i] is 0 with [Enter] and [Exit]. The iteration travels as a plain [int] argument so that a
-    hook call allocates nothing. *)
+    [exit] does not. [i] is 0 with [Enter] and [Exit]. The iteration
+    travels as a plain [int] argument so that a hook call allocates
+    nothing. *)
 type loop_event = Enter | Iter | Exit
 
 type state = {

@@ -350,7 +350,8 @@ let all_programs () =
     Workloads.Registry.all
   @ c_files "test/programs" @ c_files "examples/programs"
   @ List.map
-      (fun f -> (f, read_file (Filename.concat root ("perfbench/programs/" ^ f))))
+      (fun f ->
+        (f, read_file (Filename.concat root ("perfbench/programs/" ^ f))))
       [ "multi.c"; "rows.c" ]
 
 (* Each loop's profile from the pass it shares with other loops renders
@@ -370,7 +371,8 @@ let pass_exact (name, src) () =
     (name ^ ": renders") (List.map Golden.render alone)
     (List.map Golden.render shared)
 
-let parse_file name = Typecheck.parse_and_check ~file:name (List.assoc name (all_programs ()))
+let parse_file name =
+  Typecheck.parse_and_check ~file:name (List.assoc name (all_programs ()))
 
 (* Loops that may nest cannot share a pass: loop 2 of nested.c sits in
    loop 1's body, and loop 0 in a function loop 1 calls. *)
@@ -476,7 +478,8 @@ let () =
         :: Alcotest.test_case "one pass per group" `Quick pass_count
         :: List.map
              (fun (name, src) ->
-               Alcotest.test_case ("exact: " ^ name) `Quick (pass_exact (name, src)))
+               Alcotest.test_case ("exact: " ^ name) `Quick
+                 (pass_exact (name, src)))
              (all_programs ()) );
       ("union-find", uf_tests);
     ]

@@ -228,7 +228,9 @@ let accounting_tests =
              int f(int x, long y){ g = x; return x + 1; }\n\
              int main(void){ return f(2, 3L) - 3; }"
         in
-        let formal_aids () = (Option.get (Ast.find_fun p "f")).Ast.fformal_aids in
+        let formal_aids () =
+          (Option.get (Ast.find_fun p "f")).Ast.fformal_aids
+        in
         let aids = formal_aids () in
         let next = p.Ast.next_aid in
         Alcotest.(check int) "one id per formal" 2 (List.length aids);
@@ -247,7 +249,8 @@ let accounting_tests =
         let second = binding_stores () in
         Alcotest.(check int) "next_aid" next p.Ast.next_aid;
         Alcotest.(check (list int)) "formal ids" aids (formal_aids ());
-        Alcotest.(check (list int)) "binding stores" (List.sort compare aids) first;
+        Alcotest.(check (list int))
+          "binding stores" (List.sort compare aids) first;
         Alcotest.(check (list int)) "same ids on both machines" first second);
     Alcotest.test_case "cycles monotone with work" `Quick (fun () ->
         let cycles src =

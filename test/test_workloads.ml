@@ -15,10 +15,8 @@ let load (w : Workloads.Workload.t) =
   (p, lids, analyses)
 
 (* Golden dependence-graph digests (see golden.ml), one per parallel
-   loop, recorded with the earlier per-byte-record profiler. h263's
-   second was re-recorded when loading stopped drawing formal ids: its
-   graph's binding-store ids moved from 258-266 to 249-257, the ids a
-   load of a fresh parse gave them before, and nothing else changed. *)
+   loop, recorded with the earlier per-byte-record profiler (h263's
+   second with formal ids drawn by the type checker). *)
 let golden =
   [
     ("dijkstra", [ "5f6c44c8cc980d395fca4056c430d6f1" ]);
