@@ -10,9 +10,10 @@ type result = {
   loop_fun : Ast.fundef;
 }
 
-(** Profile loop [lid] of a type-checked program by executing it once,
-    recognize the loop's basic induction variables, and classify every
-    access per Definitions 4-5.
+(** Profile loop [lid] of a type-checked program
+    ({!Depgraph.Profiler.profile}: one run serves all the loops of its
+    pass), recognize the loop's basic induction variables, and classify
+    every access per Definitions 4-5.
     @raise Invalid_argument if no loop has id [lid]. *)
 val analyze : Ast.program -> Ast.lid -> result
 
