@@ -38,10 +38,6 @@ type oracle = {
 
 let kind_char = function Visit.Load -> 'L' | Visit.Store -> 'S'
 
-let read_bytes mem addr size : string =
-  String.init size (fun i ->
-      Char.chr (Int64.to_int (Interp.Memory.load mem (addr + i) 1) land 0xff))
-
 (** Access sites of the analyses' loops whose lvalue is not
     pointer-typed (pointer values are addresses and legitimately
     differ between runs). *)
@@ -113,7 +109,8 @@ let oracle_of (prog : Ast.program)
   List.iter
     (fun (x, size) ->
       let addr = Interp.Machine.global_addr st x in
-      Hashtbl.replace finals x (read_bytes st.Interp.Machine.mem addr size))
+      Hashtbl.replace finals x
+        (Interp.Memory.read_string st.Interp.Machine.mem addr size))
     (final_globals prog);
   {
     o_streams = streams;
@@ -227,7 +224,10 @@ let check_finals (oracle : oracle) (plan : Expand.Plan.t)
       if not (Expand.Plan.expanded_var plan x) then
         match Hashtbl.find_opt st.Interp.Machine.global_addrs x with
         | Some addr ->
-          let got = read_bytes st.Interp.Machine.mem addr (String.length want) in
+          let got =
+            Interp.Memory.read_string st.Interp.Machine.mem addr
+              (String.length want)
+          in
           if got <> want then begin
             let diff = ref 0 in
             while String.get got !diff = String.get want !diff do incr diff done;

@@ -16,13 +16,15 @@
     Each expression is compiled by its static type, so values need no
     tag and most need no box: [char]/[short]/[int] and pointer
     expressions become [unit -> int] closures returning an immediate,
-    sign-extended OCaml int; conditions become [unit -> bool]; [long]
-    and [float]/[double] expressions return one [int64] or [float] box
-    per value. An operation charges its cycles before it evaluates its
-    operands, and evaluates them in the order the cost model has always
-    seen (right before left, except that pointer arithmetic evaluates
-    the scaled integer first), because DOACROSS post/wait positions are
-    cycle offsets within an iteration.
+    sign-extended OCaml int; conditions become [unit -> bool];
+    [float]/[double] expressions become [unit -> unit] closures that
+    leave their value in a flat float cell allocated at load time
+    (destination-passing style); [long] expressions return one [int64]
+    box per value. An operation charges its cycles before it evaluates
+    its operands, and evaluates them in the order the cost model has
+    always seen (right before left, except that pointer arithmetic
+    evaluates the scaled integer first), because DOACROSS post/wait
+    positions are cycle offsets within an iteration.
 
     All of C that the frontend accepts is supported; the interesting
     cases are byte-accurate struct layout, pointer arithmetic with
@@ -127,6 +129,22 @@ let round_float_kind (fk : Types.fkind) (f : float) : float =
   match fk with
   | Types.FDouble -> f
   | Types.FFloat -> Int32.float_of_bits (Int32.bits_of_float f)
+
+(* Floating-point values live in flat cells (see [compile_float]); a
+   float passed to or returned from a closure would be boxed. *)
+type fcell = Memory.fcell = { mutable fv : float }
+
+let new_cell () = { fv = 0.0 }
+
+(* [c], then [float] rounding of its destination [d] when [fk] is
+   [float]; chosen once, at load time. *)
+let rounded (fk : Types.fkind) (d : fcell) (c : unit -> unit) : unit -> unit =
+  match fk with
+  | Types.FDouble -> c
+  | Types.FFloat ->
+    fun () ->
+      c ();
+      d.fv <- Int32.float_of_bits (Int32.bits_of_float d.fv)
 
 (* Pointers are immediate ints: a [long] outside the OCaml int range
    has no pointer representation, so converting it is an error rather
@@ -254,11 +272,12 @@ let burn_fuel st =
 (* The machine's one return slot. A callee writes the field of its
    return type's kind just before raising [Return_exc], and the caller
    reads it right after catching, before anything else runs, so one
-   slot serves every (recursive) call. *)
+   slot serves every (recursive) call. The float is a cell of its own
+   because a float field of this mixed record would be boxed. *)
 type ret_slot = {
   mutable r_int : int;
   mutable r_long : int64;
-  mutable r_float : float;
+  r_float : fcell;
 }
 
 (* The representation of a scalar value, from its static type. *)
@@ -303,7 +322,8 @@ let kind_of loc (t : Types.ty) : kind =
 
 (* Storing a value of each kind into a scalar slot of type [t] (an
    argument, a call result, an assignment), converting it to the slot's
-   representation first; [fun addr v -> ...]. *)
+   representation first; [fun addr v -> ...]. A conversion to a
+   floating type goes through a scratch cell of the store site's own. *)
 let int_store st loc (t : Types.ty) : int -> int -> unit =
   match t with
   | Types.Tint ik ->
@@ -311,7 +331,10 @@ let int_store st loc (t : Types.ty) : int -> int -> unit =
     fun addr v -> Memory.store_int st.mem addr w v
   | Types.Tfloat fk ->
     let w = Types.fkind_size fk in
-    fun addr v -> Memory.store_float st.mem addr w (Float.of_int v)
+    let c = new_cell () in
+    fun addr v ->
+      c.fv <- Float.of_int v;
+      Memory.store_float_cell st.mem addr w c
   | Types.Tptr _ -> fun addr v -> Memory.store_int st.mem addr 8 v
   | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
 
@@ -322,20 +345,24 @@ let long_store st loc (t : Types.ty) : int -> int64 -> unit =
     fun addr v -> Memory.store st.mem addr w v
   | Types.Tfloat fk ->
     let w = Types.fkind_size fk in
-    fun addr v -> Memory.store_float st.mem addr w (Int64.to_float v)
+    let c = new_cell () in
+    fun addr v ->
+      c.fv <- Int64.to_float v;
+      Memory.store_float_cell st.mem addr w c
   | Types.Tptr _ -> fun addr v -> Memory.store st.mem addr 8 v
   | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
 
-let float_store st loc (t : Types.ty) : int -> float -> unit =
+(* [fun addr c -> ...]: the value in cell [c]. *)
+let float_store st loc (t : Types.ty) : int -> fcell -> unit =
   match t with
   | Types.Tint ik ->
     let w = Types.ikind_size ik in
-    fun addr f -> Memory.store st.mem addr w (Int64.of_float f)
+    fun addr c -> Memory.store st.mem addr w (Int64.of_float c.fv)
   | Types.Tfloat fk ->
     let w = Types.fkind_size fk in
-    fun addr f -> Memory.store_float st.mem addr w f
+    fun addr c -> Memory.store_float_cell st.mem addr w c
   | Types.Tptr _ ->
-    fun _ f -> runtime_error "expected an integer value, got float %g" f
+    fun _ c -> runtime_error "expected an integer value, got float %g" c.fv
   | t -> Loc.error loc "cannot store into type %s" (Types.show_ty t)
 
 type ctx = {
@@ -600,22 +627,28 @@ and compile_long (ctx : ctx) (e : Ast.exp) : unit -> int64 =
     Loc.error loc "expression-level call to '%s' survived normalization" f
   | _ -> not_this_kind loc "long" e
 
-(** [float]/[double] expressions. *)
-and compile_float (ctx : ctx) (e : Ast.exp) : unit -> float =
+(** [float]/[double] expressions, in destination-passing style:
+    [compile_float ctx e d] leaves [e]'s value in [d]. Each operand of
+    a binary operation gets a cell of its own at load time; negation
+    and conversions work in [d]. Calls are hoisted out of expressions,
+    so no node runs again while its cells are live, even under
+    recursion. *)
+and compile_float (ctx : ctx) (e : Ast.exp) (d : fcell) : unit -> unit =
   let st = ctx.m.st in
   let loc = Loc.dummy in
   let e = fold_constants (comps ctx) e in
   match e with
   | Ast.Const (Cfloat (f, fk)) ->
     let v = round_float_kind fk f in
-    fun () -> v
-  | Ast.Lval (aid, lv) -> compile_load ctx aid lv Memory.load_float
+    fun () -> d.fv <- v
+  | Ast.Lval (aid, lv) -> compile_load_float ctx aid lv d
   | Ast.Unop (Ast.Neg, a) ->
-    let ca = compile_float ctx a in
+    let ca = compile_float ctx a d in
     fun () ->
       charge st Cost.float_arith;
       st.stats.n_arith <- st.stats.n_arith + 1;
-      -.ca ()
+      ca ();
+      d.fv <- -.d.fv
   | Ast.Unop (_, a) ->
     Loc.error loc "invalid unary operand type %s" (Types.show_ty (ty ctx a))
   | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op), a, b) ->
@@ -624,23 +657,25 @@ and compile_float (ctx : ctx) (e : Ast.exp) : unit -> float =
       | Types.Tfloat fk -> fk
       | t -> Loc.error loc "float op with non-float type %s" (Types.show_ty t)
     in
-    let ca = float_operand ctx a in
-    let cb = float_operand ctx b in
+    let x = new_cell () and y = new_cell () in
+    let ca = float_operand ctx a x in
+    let cb = float_operand ctx b y in
     let cost = if op = Ast.Div then Cost.float_div else Cost.float_arith in
-    let f : float -> float -> float =
-      match op with
-      | Ast.Add -> ( +. )
-      | Ast.Sub -> ( -. )
-      | Ast.Mul -> ( *. )
-      | _ -> ( /. )
-    in
-    fun () ->
-      st.cycles <- st.cycles + cost;
-      st.stats.n_arith <- st.stats.n_arith + 1;
-      let y = cb () in
-      round_float_kind fk (f (ca ()) y)
-  | Ast.Cast (t, a) -> float_of ctx ~dst:t a
-  | Ast.Cond (c, a, b) -> compile_select ctx c (float_of ctx ~dst:(ty ctx e)) a b
+    rounded fk d (fun () ->
+        st.cycles <- st.cycles + cost;
+        st.stats.n_arith <- st.stats.n_arith + 1;
+        cb ();
+        ca ();
+        d.fv <-
+          (match op with
+          | Ast.Add -> x.fv +. y.fv
+          | Ast.Sub -> x.fv -. y.fv
+          | Ast.Mul -> x.fv *. y.fv
+          | _ -> x.fv /. y.fv))
+  | Ast.Cast (t, a) -> float_of ctx ~dst:t a d
+  | Ast.Cond (c, a, b) ->
+    let t = ty ctx e in
+    compile_select ctx c (fun arm -> float_of ctx ~dst:t arm d) a b
   | Ast.SizeofExp _ -> Loc.error loc "sizeof(expr) survived normalization"
   | Ast.Call (f, _) ->
     Loc.error loc "expression-level call to '%s' survived normalization" f
@@ -655,16 +690,25 @@ and compile_cond (ctx : ctx) (e : Ast.exp) : unit -> bool =
   | Ast.Binop (((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b)
     ->
     let ta = ty ctx a and tb = ty ctx b in
-    let test = cmp_test op in
     if Types.is_float ta || Types.is_float tb then begin
-      let ca = float_operand ctx a in
-      let cb = float_operand ctx b in
+      (* C's (IEEE) tests: with a NaN operand only [!=] holds *)
+      let x = new_cell () and y = new_cell () in
+      let ca = float_operand ctx a x in
+      let cb = float_operand ctx b y in
       fun () ->
         arith1 st;
-        let y = cb () in
-        test (Float.compare (ca ()) y)
+        cb ();
+        ca ();
+        match op with
+        | Ast.Lt -> x.fv < y.fv
+        | Ast.Gt -> x.fv > y.fv
+        | Ast.Le -> x.fv <= y.fv
+        | Ast.Ge -> x.fv >= y.fv
+        | Ast.Eq -> x.fv = y.fv
+        | _ -> x.fv <> y.fv
     end
     else if kind_of loc ta = Klong || kind_of loc tb = Klong then begin
+      let test = cmp_test op in
       let ca = long_operand ctx a in
       let cb = long_operand ctx b in
       fun () ->
@@ -673,6 +717,7 @@ and compile_cond (ctx : ctx) (e : Ast.exp) : unit -> bool =
         test (Int64.compare (ca ()) y)
     end
     else
+      let test = cmp_test op in
       let ca = compile_int ctx a in
       let cb = compile_int ctx b in
       fun () ->
@@ -705,8 +750,11 @@ and compile_cond (ctx : ctx) (e : Ast.exp) : unit -> bool =
       let c = compile_long ctx e in
       fun () -> c () <> 0L
     | Kfloat ->
-      let c = compile_float ctx e in
-      fun () -> c () <> 0.0)
+      let x = new_cell () in
+      let c = compile_float ctx e x in
+      fun () ->
+        c ();
+        x.fv <> 0.0)
 
 (* C's conversions from an expression's own type to [dst]. Converting
    to the same type is the identity (no truncation). *)
@@ -729,9 +777,11 @@ and int_of ctx ~(dst : Types.ty) (e : Ast.exp) : unit -> int =
     trunc ik (fun () -> Int64.to_int (c ()))
   | (Types.Tint _ | Types.Tptr _), Types.Tint ik -> trunc ik (compile_int ctx e)
   | Types.Tfloat _, Types.Tint ik ->
-    let c = compile_float ctx e in
+    let x = new_cell () in
+    let c = compile_float ctx e x in
     trunc ik (fun () ->
-        let f = c () in
+        c ();
+        let f = x.fv in
         if Float.is_nan f then 0 else Int64.to_int (Int64.of_float f))
   | Types.Tint Types.ILong, Types.Tptr _ ->
     let c = compile_long ctx e in
@@ -749,36 +799,27 @@ and long_of ctx (e : Ast.exp) : unit -> int64 =
     let c = compile_int ctx e in
     fun () -> Int64.of_int (c ())
   | Types.Tfloat _ ->
-    let c = compile_float ctx e in
+    let x = new_cell () in
+    let c = compile_float ctx e x in
     fun () ->
-      let f = c () in
+      c ();
+      let f = x.fv in
       if Float.is_nan f then 0L else Int64.of_float f
   | a ->
     Loc.error loc "cannot convert %s to %s" (Types.show_ty a)
       (Types.show_ty (Types.Tint Types.ILong))
 
-(** To [dst], [float] or [double]. *)
-and float_of ctx ~(dst : Types.ty) (e : Ast.exp) : unit -> float =
+(** To [dst], [float] or [double], in [d]. *)
+and float_of ctx ~(dst : Types.ty) (e : Ast.exp) (d : fcell) : unit -> unit =
   let loc = Loc.dummy in
   let fk =
     match Types.decay dst with
     | Types.Tfloat fk -> fk
     | t -> Loc.error loc "cannot convert to %s" (Types.show_ty t)
   in
-  let round (c : unit -> float) =
-    match fk with
-    | Types.FDouble -> c
-    | Types.FFloat -> fun () -> round_float_kind fk (c ())
-  in
   match ty ctx e with
-  | Types.Tfloat fk' when fk' = fk -> compile_float ctx e
-  | Types.Tfloat _ -> round (compile_float ctx e)
-  | Types.Tint Types.ILong ->
-    let c = compile_long ctx e in
-    round (fun () -> Int64.to_float (c ()))
-  | Types.Tint _ ->
-    let c = compile_int ctx e in
-    round (fun () -> Float.of_int (c ()))
+  | Types.Tfloat fk' when fk' = fk -> compile_float ctx e d
+  | Types.Tfloat _ | Types.Tint _ -> rounded fk d (float_operand ctx e d)
   | a ->
     Loc.error loc "cannot convert %s to %s" (Types.show_ty a)
       (Types.show_ty dst)
@@ -801,15 +842,15 @@ and long_operand ctx (e : Ast.exp) : unit -> int64 =
     fun () -> Int64.of_int (c ())
   | Kfloat -> not_this_kind Loc.dummy "integer operand" e
 
-and float_operand ctx (e : Ast.exp) : unit -> float =
+and float_operand ctx (e : Ast.exp) (d : fcell) : unit -> unit =
   match kind_of Loc.dummy (ty ctx e) with
-  | Kfloat -> compile_float ctx e
+  | Kfloat -> compile_float ctx e d
   | Klong ->
     let c = compile_long ctx e in
-    fun () -> Int64.to_float (c ())
+    fun () -> d.fv <- Int64.to_float (c ())
   | Kint ->
     let c = compile_int ctx e in
-    fun () -> Float.of_int (c ())
+    fun () -> d.fv <- Float.of_int (c ())
 
 (* A scalar load: the address, then the access's cost and observer
    call, then [read]. *)
@@ -825,6 +866,20 @@ and compile_load : 'a. ctx -> Ast.aid -> Ast.lval ->
     if in_reg then do_load_reg st aid addr width
     else do_load st aid addr width;
     read st.mem addr width
+
+(* The same for a [float]/[double] load into [d]; a closure around
+   [Memory.load_float_cell] passed as [read] would add a call to every
+   load. *)
+and compile_load_float ctx aid lv (d : fcell) : unit -> unit =
+  let st = ctx.m.st in
+  let width = scalar_width Loc.dummy (Typecheck.lval_ty ctx.fe lv) in
+  let addr_c = compile_addr ctx lv in
+  let in_reg = load_in_reg ctx lv in
+  fun () ->
+    let addr = addr_c () in
+    if in_reg then do_load_reg st aid addr width
+    else do_load st aid addr width;
+    Memory.load_float_cell st.mem addr width d
 
 (* [c ? a : b], with both arms compiled (in that order) by [arm]. *)
 and compile_select : 'a. ctx -> Ast.exp -> (Ast.exp -> unit -> 'a) ->
@@ -906,12 +961,13 @@ let compile_store ctx loc (t : Types.ty) (addr_c : unit -> int)
       store addr v;
       note addr
   | Kfloat ->
-    let store = float_store st loc t in
-    let ce = float_of ctx ~dst:t e in
+    let w = scalar_width loc t in
+    let v = new_cell () in
+    let ce = float_of ctx ~dst:t e v in
     fun () ->
-      let v = ce () in
+      ce ();
       let addr = addr_c () in
-      store addr v;
+      Memory.store_float_cell st.mem addr w v;
       note addr
 
 let store_note ctx loc aid (lv : Ast.lval) (t : Types.ty) : int -> unit =
@@ -923,7 +979,7 @@ let store_note ctx loc aid (lv : Ast.lval) (t : Types.ty) : int -> unit =
 let zero_ret r =
   r.r_int <- 0;
   r.r_long <- 0L;
-  r.r_float <- 0.0
+  r.r_float.fv <- 0.0
 
 type printf_arg = Pint of int64 | Pfloat of float
 
@@ -987,9 +1043,9 @@ let rec compile_stmt (ctx : ctx) (s : Ast.stmt) : unit -> unit =
         r.r_long <- ce ();
         raise_notrace Return_exc
     | Kfloat ->
-      let ce = float_of ctx ~dst:t e in
+      let ce = float_of ctx ~dst:t e r.r_float in
       fun () ->
-        r.r_float <- ce ();
+        ce ();
         raise_notrace Return_exc)
   | Ast.Sbreak -> fun () -> raise_notrace Break_exc
   | Ast.Scontinue -> fun () -> raise_notrace Continue_exc
@@ -1081,10 +1137,10 @@ and arg_binder ctx loc (e : Ast.exp) (t : Types.ty) :
     let slot = ref 0L in
     ((fun () -> slot := c ()), fun addr -> store addr !slot)
   | Kfloat ->
-    let c = compile_float ctx e in
+    let slot = new_cell () in
+    let c = compile_float ctx e slot in
     let store = float_store st loc t in
-    let slot = ref 0.0 in
-    ((fun () -> slot := c ()), fun addr -> store addr !slot)
+    (c, fun addr -> store addr slot)
 
 and compile_call ctx loc ret f args : unit -> unit =
   let st = ctx.m.st in
@@ -1169,8 +1225,11 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
       let c = compile_long ctx e in
       fun () -> Int64.to_int (c ())
     | Kfloat ->
-      let c = compile_float ctx e in
-      fun () -> runtime_error "expected an integer value, got float %g" (c ())
+      let x = new_cell () in
+      let c = compile_float ctx e x in
+      fun () ->
+        c ();
+        runtime_error "expected an integer value, got float %g" x.fv
   in
   let one () =
     match args with [ a ] -> a | _ -> Loc.error loc "bad arity for %s" name
@@ -1186,12 +1245,14 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
         r.r_int <- f v),
       Kint )
   in
-  let float1 f =
-    let c = float_operand ctx (one ()) in
+  (* [f x d] leaves the result for the argument in [x] in [d] *)
+  let float1 (f : fcell -> fcell -> unit) =
+    let x = new_cell () in
+    let c = float_operand ctx (one ()) x in
     ( (fun () ->
-        let x = c () in
+        c ();
         charge st Cost.float_fn;
-        r.r_float <- f x),
+        f x r.r_float),
       Kfloat )
   in
   (* builtins whose result is their (possibly long) argument's C value *)
@@ -1269,8 +1330,11 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
               let c = compile_long ctx e in
               fun () -> Pint (c ())
             | Kfloat ->
-              let c = compile_float ctx e in
-              fun () -> Pfloat (c ()))
+              let x = new_cell () in
+              let c = compile_float ctx e x in
+              fun () ->
+                c ();
+                Pfloat x.fv)
           rest
       in
       ( (fun () ->
@@ -1322,11 +1386,11 @@ and compile_builtin ctx loc ?ret_aid name (args : Ast.exp list) :
         n)
   | "abs" | "labs" ->
     int_or_long (fun v -> r.r_int <- abs v) (fun v -> r.r_long <- Int64.abs v)
-  | "sqrt" -> float1 sqrt
-  | "fabs" -> float1 Float.abs
-  | "floor" -> float1 Float.floor
-  | "exp" -> float1 Stdlib.exp
-  | "log" -> float1 Stdlib.log
+  | "sqrt" -> float1 (fun x d -> d.fv <- sqrt x.fv)
+  | "fabs" -> float1 (fun x d -> d.fv <- Float.abs x.fv)
+  | "floor" -> float1 (fun x d -> d.fv <- Float.floor x.fv)
+  | "exp" -> float1 (fun x d -> d.fv <- Stdlib.exp x.fv)
+  | "log" -> float1 (fun x d -> d.fv <- Stdlib.log x.fv)
   | "rand" ->
     ints (fun _ ->
         st.rand_state <-
@@ -1478,7 +1542,7 @@ let load (prog : Ast.program) : t =
   let st = make_state () in
   let m = { st; prog; funs = Hashtbl.create 16; inits = [] } in
   let env = Typecheck.make_env prog in
-  let ret = { r_int = 0; r_long = 0L; r_float = 0.0 } in
+  let ret = { r_int = 0; r_long = 0L; r_float = new_cell () } in
   (* Allocate all globals first so compiled code can reference them. *)
   List.iter
     (fun (name, t, _) ->
@@ -1620,7 +1684,7 @@ let run (m : t) : int =
         match cf.cf_ret_kind with
         | Some Klong -> Int64.to_int r.r_long
         | Some Kfloat ->
-          runtime_error "expected an integer value, got float %g" r.r_float
+          runtime_error "expected an integer value, got float %g" r.r_float.fv
         | Some Kint | None -> r.r_int)
     with Exit_program code -> code)
 

@@ -3,8 +3,9 @@
     Programs are compiled once into OCaml closures, each expression by
     its static type: [char]/[short]/[int] and pointer expressions
     evaluate to immediate OCaml ints (so pointers must lie within
-    ±2{^62}), conditions to [bool], and only [long] and floating-point
-    values are boxed, once per value. The machine is deterministic and
+    ±2{^62}), conditions to [bool], [float]/[double] expressions into
+    flat float cells allocated at load time, and only [long] values
+    are boxed, once per value. The machine is deterministic and
     instrumented: every dynamic memory access reports (access id,
     kind, address, size) to an optional observer (the dependence
     profiler); every access may be surcharged by an optional
@@ -12,9 +13,11 @@
     enter/iteration/exit events; frees report (base, size); cycle and
     instruction-class counters implement the cost model described in
     DESIGN.md. With no hook set, and with hooks that do not allocate
-    themselves, running [char]/[short]/[int]/pointer code allocates
-    nothing per access, operation, loop iteration or user-function
-    call (builtins such as [printf] and [malloc] still do). *)
+    themselves, running [char]/[short]/[int]/pointer and
+    [float]/[double] code allocates nothing per access, operation,
+    loop iteration or user-function call (builtins such as [printf]
+    and [malloc] still do). Comparisons with a floating operand follow
+    C: with a NaN operand only [!=] holds. *)
 
 open Minic
 

@@ -180,18 +180,20 @@ let store m addr size (v : int64) : unit =
   | 8 -> Bytes.set_int64_le m.data addr v
   | _ -> fault "unsupported store width %d" size
 
-let load_float m addr size : float =
+type fcell = { mutable fv : float }
+
+let load_float_cell m addr size (c : fcell) : unit =
   check m addr size;
   match size with
-  | 4 -> Int32.float_of_bits (Bytes.get_int32_le m.data addr)
-  | 8 -> Int64.float_of_bits (Bytes.get_int64_le m.data addr)
+  | 4 -> c.fv <- Int32.float_of_bits (Bytes.get_int32_le m.data addr)
+  | 8 -> c.fv <- Int64.float_of_bits (Bytes.get_int64_le m.data addr)
   | _ -> fault "unsupported float load width %d" size
 
-let store_float m addr size (f : float) : unit =
+let store_float_cell m addr size (c : fcell) : unit =
   check m addr size;
   match size with
-  | 4 -> Bytes.set_int32_le m.data addr (Int32.bits_of_float f)
-  | 8 -> Bytes.set_int64_le m.data addr (Int64.bits_of_float f)
+  | 4 -> Bytes.set_int32_le m.data addr (Int32.bits_of_float c.fv)
+  | 8 -> Bytes.set_int64_le m.data addr (Int64.bits_of_float c.fv)
   | _ -> fault "unsupported float store width %d" size
 
 (* Byte windows between the arena and a write log, used by the domain
@@ -232,6 +234,10 @@ let strlen m addr : int =
   find_end addr - addr
 
 let read_cstring m addr : string = Bytes.sub_string m.data addr (strlen m addr)
+
+let read_string m addr len : string =
+  check m addr len;
+  Bytes.sub_string m.data addr len
 
 let live_bytes m = m.live_bytes
 let peak_bytes m = m.peak_bytes

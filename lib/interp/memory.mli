@@ -45,8 +45,20 @@ val store_int : t -> int -> int -> int -> unit
 val load : t -> int -> int -> int64
 
 val store : t -> int -> int -> int64 -> unit
-val load_float : t -> int -> int -> float
-val store_float : t -> int -> int -> float -> unit
+
+(** A flat, mutable float. Floating-point values cross this module's
+    boundary only in cells: it is compiled apart from its callers, so
+    a [float] argument or result would be boxed on every call. *)
+type fcell = { mutable fv : float }
+
+(** [load_float_cell m addr size c] reads the 4-byte [float] or 8-byte
+    [double] at [addr] into [c] (a [float] widens exactly). *)
+val load_float_cell : t -> int -> int -> fcell -> unit
+
+(** [store_float_cell m addr size c] writes [c] at [addr] as a 4-byte
+    [float] (rounded to nearest) or an 8-byte [double]. *)
+val store_float_cell : t -> int -> int -> fcell -> unit
+
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> dst:int -> len:int -> int -> unit
 
@@ -65,6 +77,10 @@ val blit_from_string : t -> string -> int -> dst:int -> len:int -> unit
 val write_cstring : t -> string -> int
 
 val read_cstring : t -> int -> string
+
+(** [read_string m addr len] is a copy of the [len] bytes at [addr]
+    (one bounds check). *)
+val read_string : t -> int -> int -> string
 
 (** Length of the NUL-terminated C string at [addr], scanned in place. *)
 val strlen : t -> int -> int

@@ -62,6 +62,110 @@ let semantics_tests =
     check_exit "sqrt" "int main(void){ return (int)sqrt(144.0); }" 12;
   ]
 
+let float_tests =
+  [
+    (* each operation on [float] operands rounds to [float]: 2^24 + 1
+       rounds back to 2^24 twice, where rounding once at the store
+       would give 2^24 + 2 *)
+    check_output "float rounds after each operation"
+      {|int main(void)
+{
+  float a = 16777216.0f;
+  float one = 1.0f;
+  float s = a + one + one;
+  double d = (double)a + 1.0 + 1.0;
+  float t = 0.1f;
+  float u = t * t * 10.0f;
+  double v = (double)t * (double)t * 10.0;
+  printf("%.1f %.1f %d %d\n", s, d, (a + one) == a, ((double)a + 1.0) == (double)a);
+  printf("%.17g %.17g\n", u, v);
+  return 0;
+}|}
+      "16777216.0 16777218.0 1 0\n0.10000000894069672 0.10000000298023226\n";
+    (* casts, a call's int argument to a double formal, a double result
+       stored into int and long, and NaN to int and long (0) *)
+    check_output "conversions"
+      {|double half(double x) { return x / 2.0; }
+int main(void)
+{
+  int i = -7;
+  long l = 9007199254740993L;
+  double d = 2.9;
+  float f = -2.5f;
+  double z = 0.0;
+  double n = z / z;
+  int a = (int)d;
+  int b = (int)f;
+  long c = (long)(d * 10000000000.0);
+  double e = (double)l;
+  float g = (float)i;
+  float h = (float)l;
+  int k = half(7);
+  long m = half(9L);
+  short sh = (short)-300.7;
+  printf("%d %d %ld %.1f %.1f %.1f\n", a, b, c, e, g, h);
+  printf("%d %ld %d %d %ld\n", k, m, sh, (int)n, (long)n);
+  return 0;
+}|}
+      "2 -2 29000000000 9007199254740992.0 -7.0 9007199254740992.0\n\
+       3 4 -300 0 0\n";
+    check_output "negation and float conditional arms"
+      {|int main(void)
+{
+  double x = 1.5;
+  double y = -x;
+  float f = 2.25f;
+  float g = -f;
+  double p = x > 1.0 ? -x * 2.0 : x;
+  double q = x < 1.0 ? 1 : x;
+  double r = y < 0.0 ? 7 : y;
+  float s = x > 0.0 ? f : -1.0f;
+  printf("%.2f %.2f %.2f %.2f %.2f %.2f\n", y, g, p, q, r, s);
+  return 0;
+}|}
+      "-1.50 -2.25 -3.00 1.50 7.00 2.25\n";
+    (* every activation passes its arguments and result through the
+       same call-site and return cells: a cell read after another
+       activation reused it would change both sums *)
+    check_output "float arguments and returns under recursion"
+      {|double fibd(double n)
+{
+  if (n < 2.0) return n;
+  return fibd(n - 1.0) + fibd(n - 2.0);
+}
+double walk(double x, int k)
+{
+  double r;
+  if (k == 0) return x;
+  r = walk(x * 0.5 + 1.0, k - 1);
+  return x + r * 2.0;
+}
+int main(void)
+{
+  printf("%.1f %.6f\n", fibd(20.0), walk(3.0, 6));
+  return 0;
+}|}
+      "6765.0 261.000000\n";
+    check_output "fabs sqrt floor printf %f"
+      {|int main(void)
+{
+  printf("%f %f %f %f\n", fabs(-2.25), sqrt(2.0), floor(-1.5), fabs(3));
+  return 0;
+}|}
+      "2.250000 1.414214 -2.000000 3.000000\n";
+    (* C's comparisons: with a NaN operand only != holds *)
+    check_output "NaN comparisons follow C"
+      {|int main(void)
+{
+  double z = 0.0;
+  double n = z / z;
+  printf("%d %d %d %d %d %d\n", n < 1.0, n == n, n != n, 1.0 >= n, n > 1.0, n <= 1.0);
+  if (n == n) return 1;
+  return 0;
+}|}
+      "0 0 1 0 0 0\n";
+  ]
+
 let pointer_tests =
   [
     check_exit "address of local"
@@ -215,6 +319,25 @@ let failure_tests =
       "int deep(int n){ int pad[512]; pad[0] = n; return deep(n + 1) + pad[0]; } int main(void){ return deep(0); }";
   ]
 
+(* `dune runtest` runs in test/ of the build tree, `dune exec` from the
+   workspace root. *)
+let root = if Sys.file_exists "programs" then ".." else "."
+
+(* A plain run of the program allocates at most 0.05 minor words per
+   simulated cycle. *)
+let words_per_cycle_case name file source =
+  Alcotest.test_case name `Quick (fun () ->
+      let p = Typecheck.parse_and_check ~file (source ()) in
+      let m = Interp.Machine.load p in
+      let w0 = Gc.minor_words () in
+      ignore (Interp.Machine.run m);
+      let words = Gc.minor_words () -. w0 in
+      let cycles = m.Interp.Machine.st.Interp.Machine.cycles in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words <= 0.05 x %d cycles" words cycles)
+        true
+        (words <= 0.05 *. float_of_int cycles))
+
 (* Cost accounting sanity: cycles and stats move as expected. *)
 let accounting_tests =
   [
@@ -355,24 +478,50 @@ let accounting_tests =
         (* 7 executed iterations plus the trailing failed-condition test *)
         Alcotest.(check int) "8 iter events" 8 !iters;
         Alcotest.(check int) "exit once" 1 !exits);
-    (* int/char/short/pointer values are immediate and loop hooks take
-       the iteration as an int, so a plain run allocates next to
-       nothing per simulated cycle *)
-    Alcotest.test_case "md5 allocation per cycle" `Quick (fun () ->
-        let w = Workloads.Registry.find "md5" in
+    Alcotest.test_case "observer order on doubles" `Quick (fun () ->
+        (* [r = a - b]: the subtraction charges its cycles, then loads
+           the right operand, then the left *)
         let p =
-          Typecheck.parse_and_check ~file:w.Workloads.Workload.name
-            w.Workloads.Workload.source
+          Typecheck.parse_and_check
+            "double a; double b; double r;\n\
+             int main(void){ a = 5.0; b = 2.0; r = a - b; return (int)r; }"
         in
         let m = Interp.Machine.load p in
-        let w0 = Gc.minor_words () in
-        ignore (Interp.Machine.run m);
-        let words = Gc.minor_words () -. w0 in
-        let cycles = m.Interp.Machine.st.Interp.Machine.cycles in
-        Alcotest.(check bool)
-          (Printf.sprintf "%.0f minor words <= 0.05 x %d cycles" words cycles)
-          true
-          (words <= 0.05 *. float_of_int cycles));
+        let st = m.Interp.Machine.st in
+        let name addr =
+          List.find
+            (fun x -> Interp.Machine.global_addr st x = addr)
+            [ "a"; "b"; "r" ]
+        in
+        let seen = ref [] in
+        st.Interp.Machine.observer <-
+          Some
+            (fun _ kind addr _ ->
+              seen :=
+                ( name addr,
+                  (if kind = Minic.Visit.Load then "L" else "S"),
+                  st.Interp.Machine.cycles )
+                :: !seen);
+        Alcotest.(check int) "exit" 3 (Interp.Machine.run m);
+        Alcotest.(check (list (triple string string int)))
+          "(global, kind, cycles) at each observer call"
+          [
+            ("a", "S", 2); ("b", "S", 4); ("b", "L", 8); ("a", "L", 10);
+            ("r", "S", 12); ("r", "L", 14);
+          ]
+          (List.rev !seen));
+    (* int/char/short/pointer values are immediate, float and double
+       values travel in cells and loop hooks take the iteration as an
+       int, so a plain run allocates next to nothing per simulated
+       cycle *)
+    words_per_cycle_case "md5 allocation per cycle" "md5" (fun () ->
+        (Workloads.Registry.find "md5").Workloads.Workload.source);
+    words_per_cycle_case "470.lbm allocation per cycle" "470.lbm" (fun () ->
+        (Workloads.Registry.find "470.lbm").Workloads.Workload.source);
+    words_per_cycle_case "stencil.c allocation per cycle" "stencil.c" (fun () ->
+        In_channel.with_open_bin
+          (Filename.concat root "examples/programs/stencil.c")
+          In_channel.input_all);
   ]
 
 (* qcheck property: interpretation of integer arithmetic expressions
@@ -628,6 +777,7 @@ let () =
   Alcotest.run "interp"
     [
       ("semantics", semantics_tests);
+      ("floats", float_tests);
       ("pointers", pointer_tests);
       ("control", control_tests);
       ("failures", failure_tests);

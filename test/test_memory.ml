@@ -94,12 +94,28 @@ let accessor_tests =
     Alcotest.test_case "float roundtrip both widths" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 16 in
-        Interp.Memory.store_float m a 8 3.14159265358979;
+        let roundtrip addr width v =
+          Interp.Memory.store_float_cell m addr width { Interp.Memory.fv = v };
+          let c = { Interp.Memory.fv = Float.nan } in
+          Interp.Memory.load_float_cell m addr width c;
+          c.Interp.Memory.fv
+        in
         Alcotest.(check (float 0.0)) "double exact" 3.14159265358979
-          (Interp.Memory.load_float m a 8);
-        Interp.Memory.store_float m (a + 8) 4 1.5;
+          (roundtrip a 8 3.14159265358979);
         Alcotest.(check (float 0.0)) "float32 exact for 1.5" 1.5
-          (Interp.Memory.load_float m (a + 8) 4));
+          (roundtrip (a + 8) 4 1.5);
+        Alcotest.(check (float 0.0)) "float32 rounds 0.1" 0.100000001490116119
+          (roundtrip (a + 8) 4 0.1));
+    Alcotest.test_case "read_string" `Quick (fun () ->
+        let m = Interp.Memory.create () in
+        let a = Interp.Memory.alloc m 8 in
+        Interp.Memory.store m a 8 0x0041_4243_0044_4546L;
+        Alcotest.(check string) "bytes in address order" "FED\000CBA\000"
+          (Interp.Memory.read_string m a 8);
+        Alcotest.(check string) "empty" "" (Interp.Memory.read_string m a 0);
+        match Interp.Memory.read_string m a 1_000_000 with
+        | exception Interp.Memory.Fault _ -> ()
+        | _ -> Alcotest.fail "expected a fault past the arena");
     Alcotest.test_case "cstring roundtrip" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.write_cstring m "hello world" in
