@@ -174,7 +174,9 @@ let sched_json (b : Harness.Bench_run.t) : Telemetry.Json.t =
    --critical-path`'s output; this is the trend-friendly digest. *)
 let critpath_json (b : Harness.Bench_run.t) : Telemetry.Json.t =
   let open Telemetry.Json in
-  let seq_cycles = Harness.Bench_run.seq_interp_cycles b in
+  let seq_cycles =
+    (Lazy.force b.Harness.Bench_run.contract_oracle).Guard.Contract.o_cycles
+  in
   let seq_ns = Harness.Bench_run.wall_seq b in
   Obj
     (List.map
@@ -265,7 +267,9 @@ let history_metrics (benches : Harness.Bench_run.t list) :
               wr.Harness.Bench_run.wr_speedup ))
           (wall_of b)
       in
-      let seq_cycles = Harness.Bench_run.seq_interp_cycles b in
+      let seq_cycles =
+        (Lazy.force b.Harness.Bench_run.contract_oracle).Guard.Contract.o_cycles
+      in
       let seq_ns = Harness.Bench_run.wall_seq b in
       let crit =
         List.concat_map

@@ -681,14 +681,11 @@ let run_ladder ~threads ~seed ~exec_mode ~domains ~chunk ~retry ~watchdog_ms
   | Some sup ->
     Printf.printf "supervisor: %s\n" (Domexec.Supervisor.summary sup)
   | None -> ());
-  let ok =
-    String.equal o.Harness.Ladder.output oracle.Guard.Contract.o_output
-    && o.Harness.Ladder.exit_code = oracle.Guard.Contract.o_exit
-  in
-  Printf.printf "rung held: %s (fell %d), output %s\n"
+  (* every rung but the last is judged by the verdict, and the last is
+     the oracle's own run *)
+  Printf.printf "rung held: %s (fell %d)\n"
     (Harness.Ladder.rung_name o.Harness.Ladder.rung)
-    (List.length o.Harness.Ladder.diagnostics)
-    (if ok then "identical" else "DIFFERS");
+    (List.length o.Harness.Ladder.diagnostics);
   (* structured rung + trigger line for drivers, on stderr *)
   Printf.eprintf "dsexpand: rung=%s trigger=%s\n"
     (Harness.Ladder.rung_name o.Harness.Ladder.rung)
@@ -697,25 +694,21 @@ let run_ladder ~threads ~seed ~exec_mode ~domains ~chunk ~retry ~watchdog_ms
     | d :: _ -> Harness.Ladder.trigger_to_string d.Harness.Ladder.trigger);
   if exec_mode = `Domains then begin
     let code =
-      if not ok then exit_aborted
-      else
-        match (o.Harness.Ladder.rung, o.Harness.Ladder.dom_sup) with
-        | Harness.Ladder.Domains, Some sup ->
-          if sup.Domexec.Supervisor.sup_outcome = Domexec.Supervisor.Completed
-          then 0
-          else exit_recovered
-        | Harness.Ladder.Domains, None -> 0
-        | _ -> exit_fellback
+      match (o.Harness.Ladder.rung, o.Harness.Ladder.dom_sup) with
+      | Harness.Ladder.Domains, Some sup ->
+        if sup.Domexec.Supervisor.sup_outcome = Domexec.Supervisor.Completed
+        then 0
+        else exit_recovered
+      | Harness.Ladder.Domains, None -> 0
+      | _ -> exit_fellback
     in
     Printf.eprintf "dsexpand: outcome=%s\n" (outcome_word code);
     exit code
   end
-  else if not ok then exit 1
 
 (** Real parallel execution of the expanded program on OCaml domains,
     under supervision (crash isolation, chunk retry, watchdog). Every
-    run is validated: output and exit code against the original, final
-    global state via the privatization contract. *)
+    run is judged by [Guard.Contract.verdict]. *)
 let run_domains ~domains ~chunk ~retry ~watchdog_ms ~seed ~fault_spec ~file
     ~dtrace ~domain_trace ~sched_report ~sched_format ~critical_path ~whatif
     ~critpath_format prog (res : Expand.Transform.result)
@@ -726,7 +719,7 @@ let run_domains ~domains ~chunk ~retry ~watchdog_ms ~seed ~fault_spec ~file
   let t0 = Unix.gettimeofday () in
   ignore (Interp.Machine.run m0);
   let seq_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let seq_cycles = m0.Interp.Machine.st.Interp.Machine.cycles in
+  let seq_cycles = oracle.Guard.Contract.o_cycles in
   (* An explicit --domains N is a request for the parallel scheduler
      even when the host reports one core. *)
   let force = domains <> None in
@@ -774,17 +767,14 @@ let run_domains ~domains ~chunk ~retry ~watchdog_ms ~seed ~fault_spec ~file
       "  wall: sequential %.1f ms, domains %.1f ms, speedup %.2fx\n" (seq_ns /. 1e6)
       (r.Domexec.Exec.dx_wall_ns /. 1e6)
       (seq_ns /. r.Domexec.Exec.dx_wall_ns);
-    let ok_out = String.equal r.Domexec.Exec.dx_output oracle.Guard.Contract.o_output in
-    let ok_exit = r.Domexec.Exec.dx_exit = oracle.Guard.Contract.o_exit in
-    (match Guard.Contract.check_finals oracle plan r.Domexec.Exec.dx_machine with
-    | () ->
-      Printf.printf "  output %s, exit %s, finals identical\n"
-        (if ok_out then "identical" else "DIFFERS")
-        (if ok_exit then "identical" else "DIFFERS")
+    (match
+       Guard.Contract.verdict oracle ~plan ~exit:r.Domexec.Exec.dx_exit
+         r.Domexec.Exec.dx_machine
+     with
+    | () -> print_endline "  output identical, exit identical, finals identical"
     | exception Guard.Violation.Violation v ->
       Printf.printf "contract tripped: %s\n" (Guard.Violation.to_string v);
       finish exit_aborted);
-    if not (ok_out && ok_exit) then finish exit_aborted;
     finish
       (if sup.Domexec.Supervisor.sup_outcome = Domexec.Supervisor.Completed
        then 0
@@ -916,69 +906,70 @@ let run input workload dump_deps report check threads no_opt unselective
         ~file ~dtrace ~domain_trace ~sched_report ~sched_format ~critical_path
         ~whatif ~critpath_format prog res lids
     else if check then begin
-      let code0, out0 = Interp.Machine.run_program prog in
-      let m = Interp.Machine.load res.Expand.Transform.transformed in
-      Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads"
-        (max threads 1);
-      let code1 = Interp.Machine.run m in
-      let out1 = Interp.Machine.output m.Interp.Machine.st in
+      let oracle =
+        Guard.Contract.oracle_of prog (if guard then analyses else [])
+      in
+      let plan = res.Expand.Transform.plan in
+      let failed = ref false in
+      (* one line per judged run: identical, or the verdict's first
+         difference *)
+      let judge what run =
+        match run () with
+        | detail ->
+          Printf.printf "%s: output identical, exit identical, finals \
+                         identical%s\n" what detail
+        | exception Guard.Violation.Violation v ->
+          failed := true;
+          Printf.printf "%s: contract tripped: %s\n" what
+            (Guard.Violation.to_string v)
+      in
       Printf.printf "privatized structures: %d\n"
         res.Expand.Transform.privatized;
-      Printf.printf "sequential: exit %d/%d, output %s\n" code0 code1
-        (if String.equal out0 out1 then "identical" else "DIFFERS");
-      let same = ref (String.equal out0 out1 && code0 = code1) in
-      if threads > 1 then begin
-        let specs = List.map Parexec.Sim.spec_of_analysis analyses in
-        let seq = Parexec.Sim.run_sequential prog lids in
-        let attach =
-          if guard then begin
-            let oracle = Guard.Contract.oracle_of prog analyses in
-            let plan = res.Expand.Transform.plan in
-            fun m ->
-              ignore (Guard.Span_guard.attach plan m);
-              ignore (Guard.Contract.attach oracle plan m)
-          end
-          else fun _ -> ()
-        in
-        let pr =
-          match
-            Parexec.Sim.run_parallel ~attach res.Expand.Transform.transformed
-              specs ~threads
-          with
-          | exception Guard.Violation.Violation v ->
-            Printf.printf "guard tripped: %s\n" (Guard.Violation.to_string v);
-            exit 1
-          | pr -> pr
-        in
-        let ok = String.equal pr.Parexec.Sim.pr_output out0 in
-        same := !same && ok && pr.Parexec.Sim.pr_exit = code0;
-        let lsum l = List.fold_left (fun a (_, c) -> a + c) 0 l in
-        let loop_speedup =
-          float_of_int (lsum seq.Parexec.Sim.sq_loop)
-          /. float_of_int (lsum pr.Parexec.Sim.pr_loop)
-        and total_speedup =
-          float_of_int seq.Parexec.Sim.sq_total
-          /. float_of_int pr.Parexec.Sim.pr_total
-        in
-        metrics_row_stash :=
-          Some
-            {
-              Report.Tables.m_workload = file;
-              m_threads = threads;
-              m_loop_speedup = loop_speedup;
-              m_total_speedup = total_speedup;
-              m_breakdown = Harness.Bench_run.breakdown_of ~seq ~par:pr;
-            };
-        Printf.printf
-          "parallel T=%d: output %s, loop speedup %.2fx, total %.2fx\n"
-          threads
-          (if ok then "identical" else "DIFFERS")
-          loop_speedup total_speedup;
-        if pr.Parexec.Sim.pr_exit <> code0 then
-          Printf.printf "parallel T=%d: exit %d, original %d\n" threads
-            pr.Parexec.Sim.pr_exit code0
-      end;
-      if not !same then exit 1
+      judge "sequential" (fun () ->
+          let m = Interp.Machine.load res.Expand.Transform.transformed in
+          Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads"
+            (max threads 1);
+          let code = Interp.Machine.run m in
+          Guard.Contract.verdict oracle ~plan ~exit:code m;
+          "");
+      if threads > 1 then
+        judge (Printf.sprintf "parallel T=%d" threads) (fun () ->
+            let specs = List.map Parexec.Sim.spec_of_analysis analyses in
+            let seq = Parexec.Sim.run_sequential prog lids in
+            let checker = ref None and machine = ref None in
+            let attach m =
+              if guard then begin
+                ignore (Guard.Span_guard.attach plan m);
+                checker := Some (Guard.Contract.attach oracle plan m)
+              end;
+              machine := Some m
+            in
+            let pr =
+              Parexec.Sim.run_parallel ~attach res.Expand.Transform.transformed
+                specs ~threads
+            in
+            Guard.Contract.verdict oracle ~plan ?checker:!checker
+              ~exit:pr.Parexec.Sim.pr_exit (Option.get !machine);
+            let lsum l = List.fold_left (fun a (_, c) -> a + c) 0 l in
+            let loop_speedup =
+              float_of_int (lsum seq.Parexec.Sim.sq_loop)
+              /. float_of_int (lsum pr.Parexec.Sim.pr_loop)
+            and total_speedup =
+              float_of_int seq.Parexec.Sim.sq_total
+              /. float_of_int pr.Parexec.Sim.pr_total
+            in
+            metrics_row_stash :=
+              Some
+                {
+                  Report.Tables.m_workload = file;
+                  m_threads = threads;
+                  m_loop_speedup = loop_speedup;
+                  m_total_speedup = total_speedup;
+                  m_breakdown = Harness.Bench_run.breakdown_of ~seq ~par:pr;
+                };
+            Printf.sprintf ", loop speedup %.2fx, total %.2fx" loop_speedup
+              total_speedup);
+      if !failed then exit 1
     end
     else if not explain && heatmap = None then
       print_string

@@ -941,8 +941,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                         }))
               | Interp.Machine.Iter -> (
                 match !active with
-                | None -> ()
-                | Some da ->
+                | Some da when fst da.da_slot.sl_key = lid ->
                   if da.da_logging then finalize_iter da;
                   let slot = da.da_slot in
                   let k = slot.sl_chunk in
@@ -982,11 +981,11 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                       da.da_logging <- true
                     end
                     else st.Interp.Machine.iter_skip <- true
-                  end)
+                  end
+                | _ -> () (* no active invocation, or a nested loop's *))
               | Interp.Machine.Exit -> (
                 match !active with
-                | None -> ()
-                | Some da ->
+                | Some da when fst da.da_slot.sl_key = lid ->
                   if da.da_logging then finalize_iter da;
                   (* normally closed by the trailing [Iter]; belt and
                      braces for loops that exit another way *)
@@ -1068,7 +1067,8 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                   remit Ring.Merge_end ~a:(fst slot.sl_key) ~b:(snd slot.sl_key)
                     ~c:!merge_bytes;
                   Interp.Machine.set_global_int st Expand.Names.tid 0;
-                  active := None));
+                  active := None
+                | _ -> ()));
       remit Ring.Run_begin ~a:d ~b:n ~c:attempt_idx;
       gc_sample ();
       let code = Interp.Machine.run m in

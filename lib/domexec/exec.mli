@@ -155,9 +155,8 @@ val available_domains : unit -> int
     ticks, not host ns. With [trace] absent every emission site is a
     no-op; a run on one machine records nothing, not even an attempt.
 
-    The caller is expected to validate [dx_output]/[dx_exit] and
-    [dx_machine]'s final globals against a sequential oracle
-    (e.g. {!Guard.Contract}). *)
+    The caller is expected to judge the run by
+    [Guard.Contract.verdict] on [dx_exit] and [dx_machine]. *)
 val run :
   ?domains:int ->
   ?chunk:int ->

@@ -1,4 +1,4 @@
-(** The privatization-contract checker.
+(** The privatization-contract checker and the one verdict.
 
     A correct expansion is an equivalence transformation of the
     sequential program: because the simulator executes iterations in
@@ -21,10 +21,14 @@
       access, naming its loop and access class. Pointer-valued
       accesses are excluded — addresses legitimately differ between
       runs.
-    - {!finalize}: stream-completeness plus a final-state comparison
-      of eligible globals (non-expanded, pointer-free): expanded
-      copies legally hold per-thread partial states, everything else
-      must equal the oracle byte for byte. *)
+    - {!verdict}: the only comparison of a finished run with the
+      oracle, for every executor: stream completeness (when a checker
+      was attached), then the final bytes of every eligible global,
+      then output, then exit code. A global is eligible when it is
+      pointer-free and the plan did not expand it (expanded copies
+      legally hold per-thread partial states); a run without a plan —
+      the original program, as under runtime privatization — is judged
+      on every pointer-free global. *)
 
 open Minic
 
@@ -34,6 +38,7 @@ type oracle = {
   o_finals : (string, string) Hashtbl.t;  (** global name -> final bytes *)
   o_output : string;
   o_exit : int;
+  o_cycles : int;
 }
 
 let kind_char = function Visit.Load -> 'L' | Visit.Store -> 'S'
@@ -117,6 +122,7 @@ let oracle_of (prog : Ast.program)
     o_finals = finals;
     o_output = Interp.Machine.output st;
     o_exit = exit_code;
+    o_cycles = st.Interp.Machine.cycles;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -151,11 +157,9 @@ let revalidate (plan : Expand.Plan.t)
 (* ------------------------------------------------------------------ *)
 
 type checker = {
-  c_oracle : oracle;
-  c_plan : Expand.Plan.t;
   c_diag : Diag.t;
-  c_cursors : (Ast.aid, int ref) Hashtbl.t;
-  c_machine : Interp.Machine.t;
+  c_cursors : (Ast.aid, Bytes.t * int ref) Hashtbl.t;
+      (** per access site: its oracle stream and the replay cursor *)
 }
 
 let attach (oracle : oracle) (plan : Expand.Plan.t) (m : Interp.Machine.t) :
@@ -163,7 +167,7 @@ let attach (oracle : oracle) (plan : Expand.Plan.t) (m : Interp.Machine.t) :
   let diag = Diag.of_analyses plan.Expand.Plan.analyses in
   let cursors = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun aid _ -> Hashtbl.replace cursors aid (ref 0))
+    (fun aid stream -> Hashtbl.replace cursors aid (stream, ref 0))
     oracle.o_streams;
   let st = m.Interp.Machine.st in
   let prev_obs = st.Interp.Machine.observer in
@@ -171,93 +175,95 @@ let attach (oracle : oracle) (plan : Expand.Plan.t) (m : Interp.Machine.t) :
     Some
       (fun aid kind addr size ->
         (match Hashtbl.find_opt cursors aid with
-        | Some cur -> (
-          match Hashtbl.find_opt oracle.o_streams aid with
-          | Some stream ->
-            if !cur + 9 > Bytes.length stream then
+        | Some (stream, cur) ->
+          if !cur + 9 > Bytes.length stream then
+            Violation.fire Violation.Contract_stream
+              ?loop:(Diag.loop diag aid) ~access:aid
+              ?access_class:(Diag.access_class diag aid)
+              "access %d executed more often than in the sequential \
+               oracle (%d events)"
+              aid
+              (Bytes.length stream / 9)
+          else begin
+            let want_kind = Bytes.get stream !cur in
+            let want = Bytes.get_int64_le stream (!cur + 1) in
+            let got = Interp.Memory.load st.Interp.Machine.mem addr size in
+            cur := !cur + 9;
+            Telemetry.Span.count "contract.stream_checks" 1;
+            if want_kind <> kind_char kind || want <> got then
               Violation.fire Violation.Contract_stream
                 ?loop:(Diag.loop diag aid) ~access:aid
                 ?access_class:(Diag.access_class diag aid)
-                "access %d executed more often than in the sequential \
-                 oracle (%d events)"
+                "access class diverges from the sequential oracle at \
+                 access %d, event #%d: oracle %c %Ld, expanded %c %Ld"
                 aid
-                (Bytes.length stream / 9)
-            else begin
-              let want_kind = Bytes.get stream !cur in
-              let want = Bytes.get_int64_le stream (!cur + 1) in
-              let got =
-                Interp.Memory.load st.Interp.Machine.mem addr size
-              in
-              cur := !cur + 9;
-              Telemetry.Span.count "contract.stream_checks" 1;
-              if want_kind <> kind_char kind || want <> got then
-                Violation.fire Violation.Contract_stream
-                  ?loop:(Diag.loop diag aid) ~access:aid
-                  ?access_class:(Diag.access_class diag aid)
-                  "access class diverges from the sequential oracle at \
-                   access %d, event #%d: oracle %c %Ld, expanded %c %Ld"
-                  aid
-                  ((!cur / 9) - 1)
-                  want_kind want (kind_char kind) got
-            end
-          | None -> ())
+                ((!cur / 9) - 1)
+                want_kind want (kind_char kind) got
+          end
         | None -> ());
         match prev_obs with Some f -> f aid kind addr size | None -> ());
-  {
-    c_oracle = oracle;
-    c_plan = plan;
-    c_diag = diag;
-    c_cursors = cursors;
-    c_machine = m;
-  }
+  { c_diag = diag; c_cursors = cursors }
 
-(** Final-state comparison alone: every eligible (non-expanded,
-    pointer-free) global must be byte-identical to the oracle. Also
-    used standalone by the domain executor, whose runs have no
-    per-access streams to consume.
-    @raise Violation.Violation on the first divergence. *)
-let check_finals (oracle : oracle) (plan : Expand.Plan.t)
+let first_diff a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+  go 0
+
+(* Every eligible global byte-identical to the oracle: with a plan,
+   the globals it did not expand; without one, all of them. *)
+let finals (oracle : oracle) (plan : Expand.Plan.t option)
     (m : Interp.Machine.t) : unit =
   let st = m.Interp.Machine.st in
   Hashtbl.iter
     (fun x want ->
-      if not (Expand.Plan.expanded_var plan x) then
-        match Hashtbl.find_opt st.Interp.Machine.global_addrs x with
-        | Some addr ->
-          let got =
-            Interp.Memory.read_string st.Interp.Machine.mem addr
-              (String.length want)
-          in
-          if got <> want then begin
-            let diff = ref 0 in
-            while String.get got !diff = String.get want !diff do incr diff done;
-            Violation.fire Violation.Contract_final
-              "final state of global '%s' diverges from the sequential \
-               oracle at byte %d (oracle 0x%02x, expanded 0x%02x)"
-              x !diff
-              (Char.code want.[!diff])
-              (Char.code got.[!diff])
-          end
-          else Telemetry.Span.count "contract.globals_matched" 1
-        | None -> ())
+      match (plan, Hashtbl.find_opt st.Interp.Machine.global_addrs x) with
+      | Some p, _ when Expand.Plan.expanded_var p x -> ()
+      | _, Some addr ->
+        let got =
+          Interp.Memory.read_string st.Interp.Machine.mem addr
+            (String.length want)
+        in
+        if got <> want then begin
+          let diff = first_diff got want in
+          Violation.fire Violation.Contract_final
+            "final state of global '%s' diverges from the sequential \
+             oracle at byte %d (oracle 0x%02x, expanded 0x%02x)"
+            x diff
+            (Char.code want.[diff])
+            (Char.code got.[diff])
+        end
+        else Telemetry.Span.count "contract.globals_matched" 1
+      | _, None -> ())
     oracle.o_finals
 
-(** Post-run checks: every oracle stream fully consumed, and every
-    eligible (non-expanded, pointer-free) global byte-identical to the
-    oracle's final state.
-    @raise Violation.Violation on the first divergence. *)
-let finalize (c : checker) : unit =
-  Hashtbl.iter
-    (fun aid cur ->
-      match Hashtbl.find_opt c.c_oracle.o_streams aid with
-      | Some stream when !cur < Bytes.length stream ->
-        Violation.fire Violation.Contract_stream
-          ?loop:(Diag.loop c.c_diag aid) ~access:aid
-          ?access_class:(Diag.access_class c.c_diag aid)
-          "access %d executed %d fewer times than in the sequential oracle"
-          aid
-          ((Bytes.length stream - !cur) / 9)
-      | _ -> ())
-    c.c_cursors;
-  check_finals c.c_oracle c.c_plan c.c_machine;
-  Telemetry.Span.count "contract.finalized" 1
+let check_finals (oracle : oracle) (plan : Expand.Plan.t)
+    (m : Interp.Machine.t) : unit =
+  finals oracle (Some plan) m
+
+let verdict (oracle : oracle) ?plan ?checker ~exit (m : Interp.Machine.t) :
+    unit =
+  Option.iter
+    (fun c ->
+      Hashtbl.iter
+        (fun aid (stream, cur) ->
+          if !cur < Bytes.length stream then
+            Violation.fire Violation.Contract_stream
+              ?loop:(Diag.loop c.c_diag aid) ~access:aid
+              ?access_class:(Diag.access_class c.c_diag aid)
+              "access %d executed %d fewer times than in the sequential \
+               oracle"
+              aid
+              ((Bytes.length stream - !cur) / 9))
+        c.c_cursors)
+    checker;
+  finals oracle plan m;
+  let output = Interp.Machine.output m.Interp.Machine.st in
+  if not (String.equal output oracle.o_output) then
+    Violation.fire Violation.Contract_output
+      "output diverges from the sequential oracle at byte %d"
+      (first_diff output oracle.o_output);
+  if exit <> oracle.o_exit then
+    Violation.fire Violation.Contract_output
+      "exit code %d differs from the sequential oracle's %d" exit
+      oracle.o_exit;
+  Telemetry.Span.count "contract.verdicts" 1

@@ -21,6 +21,9 @@ type guard_kind =
   | Contract_final
       (** the final memory state of an eligible global diverged from
           the sequential oracle *)
+  | Contract_output
+      (** a run's output or exit code diverged from the sequential
+          oracle *)
 
 type info = {
   guard : guard_kind;
@@ -37,6 +40,7 @@ let guard_name = function
   | Contract_static -> "contract-static"
   | Contract_stream -> "contract-stream"
   | Contract_final -> "contract-final"
+  | Contract_output -> "contract-output"
 
 let to_string (i : info) : string =
   let opt f = function Some v -> f v | None -> "?" in

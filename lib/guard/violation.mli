@@ -19,6 +19,9 @@ type guard_kind =
   | Contract_final
       (** the final memory state of an eligible global diverged from
           the sequential oracle *)
+  | Contract_output
+      (** a run's output or exit code diverged from the sequential
+          oracle *)
 
 type info = {
   guard : guard_kind;

@@ -1,7 +1,8 @@
 (** Per-benchmark experiment state: the analyses and transformed
     programs, plus lazily-computed, memoized measurement runs. Every
     table and figure of the paper draws from this record, so each
-    expensive execution happens at most once per process. *)
+    expensive execution happens at most once per process, and every
+    measured run is judged by {!Guard.Contract.verdict}. *)
 
 open Minic
 
@@ -31,8 +32,9 @@ type t = {
       (** tagged sequential runs of transformed programs:
           (cycles, peak bytes) *)
   contract_oracle : Guard.Contract.oracle Lazy.t;
-      (** finals/output/exit oracle of the original program (no access
-          streams), validating every domain-executor run *)
+      (** the original program's plain run (no access streams): the
+          oracle every measured run is judged against, and the
+          sequential interpreter cycle count *)
   mutable wall_seq_cache : (int, float) Hashtbl.t;
       (** repeats -> median wall ns of the original program *)
   mutable wall_cache : (int * int, wall_result) Hashtbl.t;
@@ -41,8 +43,6 @@ type t = {
       (** domains -> (recorder, wall ns) of one traced run; the
           sched report and the critical-path profile both derive from
           this single recording *)
-  mutable interp_cycles_cache : int option;
-      (** the sequential original's interpreter cycle count *)
 }
 
 and wall_result = {
@@ -83,10 +83,28 @@ let load (w : Workloads.Workload.t) : t =
     wall_seq_cache = Hashtbl.create 4;
     wall_cache = Hashtbl.create 8;
     trace_cache = Hashtbl.create 4;
-    interp_cycles_cache = None;
   }
 
 let seq (b : t) = Lazy.force b.seq
+
+(* Run a simulation with an [attach] hook that keeps its machine, and
+   judge that machine by the verdict; the machine goes out of scope
+   here, so no memoized result keeps its arena alive. *)
+let judged (b : t) (plan : Expand.Plan.t) run exit_of =
+  let machine = ref None in
+  let r = run (fun m -> machine := Some m) in
+  Guard.Contract.verdict (Lazy.force b.contract_oracle) ~plan ~exit:(exit_of r)
+    (Option.get !machine);
+  r
+
+let pr_exit (r : Parexec.Sim.par_result) = r.Parexec.Sim.pr_exit
+
+(* A domain run of the expanded program, judged by the verdict. *)
+let judged_domains (b : t) (r : Domexec.Exec.result) : Domexec.Exec.result =
+  Guard.Contract.verdict (Lazy.force b.contract_oracle)
+    ~plan:b.expanded.Expand.Transform.plan ~exit:r.Domexec.Exec.dx_exit
+    r.Domexec.Exec.dx_machine;
+  r
 
 (** Access-class classifier for heatmap attribution: the plan's merged
     verdicts (which also cover generated span accesses) projected onto
@@ -107,16 +125,14 @@ let par ?(rp = false) ?(heatmap = false) (b : t) ~threads :
   | Some r -> r
   | None ->
     let r =
-      Parexec.Sim.run_parallel
-        ?rp:(if rp then Some (Lazy.force b.rp) else None)
-        ?heatmap:(if heatmap then Some (heat_classifier b.expanded) else None)
-        b.expanded.Expand.Transform.transformed b.specs ~threads
+      judged b b.expanded.Expand.Transform.plan
+        (fun attach ->
+          Parexec.Sim.run_parallel ~attach
+            ?rp:(if rp then Some (Lazy.force b.rp) else None)
+            ?heatmap:(if heatmap then Some (heat_classifier b.expanded) else None)
+            b.expanded.Expand.Transform.transformed b.specs ~threads)
+        pr_exit
     in
-    if not (String.equal r.Parexec.Sim.pr_output (seq b).Parexec.Sim.sq_output)
-    then
-      failwith
-        (Printf.sprintf "%s: parallel output mismatch at %d threads"
-           b.workload.Workloads.Workload.name threads);
     Hashtbl.replace b.par_cache (threads, rp, heatmap) r;
     r
 
@@ -127,32 +143,32 @@ let heat (b : t) ~threads : Parexec.Heat.t =
   | None -> assert false
 
 (** Heatmap of an alternative transformation of the same workload (the
-    bonded-vs-interleaved ablation); the run is validated against the
-    sequential oracle like every other measured run. *)
+    bonded-vs-interleaved ablation); the run is judged like every other
+    measured run. *)
 let heat_of (b : t) (r : Expand.Transform.result) ~threads : Parexec.Heat.t =
   let res =
-    Parexec.Sim.run_parallel ~heatmap:(heat_classifier r)
-      r.Expand.Transform.transformed b.specs ~threads
+    judged b r.Expand.Transform.plan
+      (fun attach ->
+        Parexec.Sim.run_parallel ~attach ~heatmap:(heat_classifier r)
+          r.Expand.Transform.transformed b.specs ~threads)
+      pr_exit
   in
-  if not (String.equal res.Parexec.Sim.pr_output (seq b).Parexec.Sim.sq_output)
-  then
-    failwith
-      (Printf.sprintf "%s: parallel output mismatch at %d threads"
-         b.workload.Workloads.Workload.name threads);
   match res.Parexec.Sim.pr_heat with Some h -> h | None -> assert false
 
 (** Sequential (1-thread, tid=0) run of a transformed program under the
     same cache model as the reference; gives Figure 9/10's overheads. *)
-let seq_cycles_of (b : t) ~(tag : string) (prog : Ast.program) : int * int =
+let seq_cycles_of (b : t) ~(tag : string) (res : Expand.Transform.result) :
+    int * int =
   match Hashtbl.find_opt b.seq_cycles_cache tag with
   | Some r -> r
   | None ->
-    let r = Parexec.Sim.run_sequential prog b.lids in
-    if not (String.equal r.Parexec.Sim.sq_output (seq b).Parexec.Sim.sq_output)
-    then
-      failwith
-        (Printf.sprintf "%s/%s: sequential output mismatch"
-           b.workload.Workloads.Workload.name tag);
+    let r =
+      judged b res.Expand.Transform.plan
+        (fun attach ->
+          Parexec.Sim.run_sequential ~attach res.Expand.Transform.transformed
+            b.lids)
+        (fun r -> r.Parexec.Sim.sq_exit)
+    in
     let v = (r.Parexec.Sim.sq_total, r.Parexec.Sim.sq_peak) in
     Hashtbl.replace b.seq_cycles_cache tag v;
     v
@@ -175,11 +191,11 @@ let total_speedup ?(rp = false) (b : t) ~threads : float =
 (** Sequential slowdown of the expanded program (Figure 9): >1 means
     the transformation costs time on one core. *)
 let seq_slowdown (b : t) ~(optimized : bool) : float =
-  let prog, tag =
-    if optimized then (b.expanded.Expand.Transform.transformed, "opt")
-    else ((Lazy.force b.expanded_unopt).Expand.Transform.transformed, "unopt")
+  let res, tag =
+    if optimized then (b.expanded, "opt")
+    else (Lazy.force b.expanded_unopt, "unopt")
   in
-  let cycles, _ = seq_cycles_of b ~tag prog in
+  let cycles, _ = seq_cycles_of b ~tag res in
   float_of_int cycles /. float_of_int (seq b).Parexec.Sim.sq_total
 
 (** Sequential slowdown under runtime privatization (Figure 10's
@@ -270,37 +286,17 @@ let wall_seq ?(repeats = 3) (b : t) : float =
 
 (** Wall-clock run of the expanded program on [domains] real domains,
     median of [repeats]. Every single run — not just the median — is
-    validated against the original program's finals/output/exit oracle
-    ({!Guard.Contract.check_finals}), so a racy merge cannot hide
-    behind a fast time. *)
+    judged by the verdict, so a racy merge cannot hide behind a fast
+    time. *)
 let wall ?(repeats = 3) (b : t) ~(domains : int) : wall_result =
   match Hashtbl.find_opt b.wall_cache (domains, repeats) with
   | Some r -> r
   | None ->
-    let oracle = Lazy.force b.contract_oracle in
-    let plan = b.expanded.Expand.Transform.plan in
-    let name = b.workload.Workloads.Workload.name in
     let runs =
       List.init repeats (fun _ ->
-          let r =
-            Domexec.Exec.run ~domains
-              b.expanded.Expand.Transform.transformed plan b.lids
-          in
-          if
-            not
-              (String.equal r.Domexec.Exec.dx_output
-                 oracle.Guard.Contract.o_output)
-          then
-            failwith
-              (Printf.sprintf "%s: domain-run output mismatch at %d domains"
-                 name domains);
-          if r.Domexec.Exec.dx_exit <> oracle.Guard.Contract.o_exit then
-            failwith
-              (Printf.sprintf
-                 "%s: domain-run exit code %d differs from oracle %d" name
-                 r.Domexec.Exec.dx_exit oracle.Guard.Contract.o_exit);
-          Guard.Contract.check_finals oracle plan r.Domexec.Exec.dx_machine;
-          r)
+          judged_domains b
+            (Domexec.Exec.run ~domains b.expanded.Expand.Transform.transformed
+               b.expanded.Expand.Transform.plan b.lids))
     in
     let par_ns = median (List.map (fun r -> r.Domexec.Exec.dx_wall_ns) runs) in
     let seq_ns = wall_seq ~repeats b in
@@ -329,36 +325,22 @@ let wall ?(repeats = 3) (b : t) ~(domains : int) : wall_result =
 
 (** One traced run on [domains] domains, memoized: the recorder and
     its wall time. The run is [force]d so single-core CI hosts still
-    exercise the parallel scheduler, and validated against the same
-    oracle as {!wall}; it is kept separate from the wall measurements
-    so ring instrumentation never contaminates a timed sample. Both
+    exercise the parallel scheduler, and judged like {!wall}'s runs;
+    it is kept separate from the wall measurements so ring
+    instrumentation never contaminates a timed sample. Both
     the sched report and the critical-path profile derive from this
     single recording, so they always describe the same run. *)
 let traced (b : t) ~(domains : int) : Domexec.Domtrace.t * float =
   match Hashtbl.find_opt b.trace_cache domains with
   | Some tw -> tw
   | None ->
-    let oracle = Lazy.force b.contract_oracle in
-    let plan = b.expanded.Expand.Transform.plan in
-    let name = b.workload.Workloads.Workload.name in
     let tr = Domexec.Domtrace.create () in
     let r =
-      Domexec.Exec.run ~domains ~force:true ~trace:tr
-        b.expanded.Expand.Transform.transformed plan b.lids
+      judged_domains b
+        (Domexec.Exec.run ~domains ~force:true ~trace:tr
+           b.expanded.Expand.Transform.transformed
+           b.expanded.Expand.Transform.plan b.lids)
     in
-    if
-      not
-        (String.equal r.Domexec.Exec.dx_output oracle.Guard.Contract.o_output)
-    then
-      failwith
-        (Printf.sprintf "%s: traced domain-run output mismatch at %d domains"
-           name domains);
-    if r.Domexec.Exec.dx_exit <> oracle.Guard.Contract.o_exit then
-      failwith
-        (Printf.sprintf
-           "%s: traced domain-run exit code %d differs from oracle %d" name
-           r.Domexec.Exec.dx_exit oracle.Guard.Contract.o_exit);
-    Guard.Contract.check_finals oracle plan r.Domexec.Exec.dx_machine;
     let tw = (tr, r.Domexec.Exec.dx_wall_ns) in
     Hashtbl.replace b.trace_cache domains tw;
     tw
@@ -368,15 +350,3 @@ let sched (b : t) ~(domains : int) : Domexec.Domtrace.Sched_report.report =
 
 let critpath (b : t) ~(domains : int) : Domexec.Critpath.profile =
   Domexec.Critpath.analyze (fst (traced b ~domains))
-
-(** The sequential original's deterministic interpreter cycle count —
-    the numerator of the critical-path model speedup. *)
-let seq_interp_cycles (b : t) : int =
-  match b.interp_cycles_cache with
-  | Some c -> c
-  | None ->
-    let m = Interp.Machine.load b.prog in
-    ignore (Interp.Machine.run m);
-    let c = m.Interp.Machine.st.Interp.Machine.cycles in
-    b.interp_cycles_cache <- Some c;
-    c

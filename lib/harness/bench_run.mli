@@ -2,8 +2,9 @@
     programs, plus lazily-computed, memoized measurement runs. Every
     table and figure of the paper draws from this record, so each
     expensive execution happens at most once per process. Every
-    measured run is checked to produce the same output as the
-    sequential original; a mismatch fails the run. *)
+    measured run is judged by {!Guard.Contract.verdict} against
+    [contract_oracle]; a failed verdict raises
+    {!Guard.Violation.Violation}. *)
 
 open Minic
 
@@ -32,7 +33,6 @@ type t = {
   mutable wall_seq_cache : (int, float) Hashtbl.t;
   mutable wall_cache : (int * int, wall_result) Hashtbl.t;
   mutable trace_cache : (int, Domexec.Domtrace.t * float) Hashtbl.t;
-  mutable interp_cycles_cache : int option;
 }
 
 (** A wall-clock measurement of the domain executor vs the sequential
@@ -66,8 +66,7 @@ val par : ?rp:bool -> ?heatmap:bool -> t -> threads:int -> Parexec.Sim.par_resul
 val heat : t -> threads:int -> Parexec.Heat.t
 
 (** Heatmap of an alternative transformation of the same workload (the
-    bonded-vs-interleaved ablation), validated against the sequential
-    oracle. *)
+    bonded-vs-interleaved ablation), judged like every measured run. *)
 val heat_of : t -> Expand.Transform.result -> threads:int -> Parexec.Heat.t
 
 val loop_cycles_seq : t -> int
@@ -109,12 +108,11 @@ val metrics_row : t -> threads:int -> Report.Tables.metrics_row
 val wall_seq : ?repeats:int -> t -> float
 
 (** Wall-clock run of the expanded program on [domains] real domains
-    (median of [repeats], default 3). Every run is validated against
-    the original's finals/output/exit oracle. Memoized per
-    (domains, repeats). *)
+    (median of [repeats], default 3). Every run is judged by the
+    verdict. Memoized per (domains, repeats). *)
 val wall : ?repeats:int -> t -> domains:int -> wall_result
 
-(** One traced, oracle-validated domain run ([force]d, so single-core
+(** One traced, judged domain run ([force]d, so single-core
     CI hosts still exercise the parallel scheduler): the recorder and
     the run's wall time. Kept separate from {!wall}'s samples so ring
     instrumentation never contaminates a timed measurement. Memoized
@@ -127,7 +125,3 @@ val sched : t -> domains:int -> Domexec.Domtrace.Sched_report.report
 
 (** Critical-path profile of the {!traced} run. *)
 val critpath : t -> domains:int -> Domexec.Critpath.profile
-
-(** Interpreter cycle count of one sequential run of the original
-    program (deterministic; memoized). *)
-val seq_interp_cycles : t -> int

@@ -365,7 +365,9 @@ let critpath (benches : Bench_run.t list) : string =
   let rows =
     List.concat_map
       (fun b ->
-        let seq_cycles = Bench_run.seq_interp_cycles b in
+        let seq_cycles =
+          (Lazy.force b.Bench_run.contract_oracle).Guard.Contract.o_cycles
+        in
         let seq_ns = Bench_run.wall_seq b in
         List.map
           (fun d ->

@@ -93,6 +93,12 @@ let rp_program (orig : Ast.program) : Ast.program =
     :: p.Ast.globals;
   p
 
+(* A failed verdict: output or exit code, or a guard or contract check. *)
+let trigger_of (v : Guard.Violation.info) : trigger =
+  match v.Guard.Violation.guard with
+  | Guard.Violation.Contract_output -> Output_mismatch
+  | _ -> Guard_trip v
+
 let run ?(threads = 4) ?reference ?oracle ?span_shrink ?attach_extra
     ?(exec = `Sim) ?domains ?chunk ?force ?retry ?watchdog_ms ?fault ?trace
     (orig : Ast.program) (analyses : Privatize.Analyze.result list) : outcome
@@ -104,6 +110,28 @@ let run ?(threads = 4) ?reference ?oracle ?span_shrink ?attach_extra
   in
   let specs = List.map Parexec.Sim.spec_of_analysis analyses in
   let extra m = match attach_extra with Some f -> f m | None -> () in
+  (* A simulated run judged by the verdict; [attach] chains guards and
+     fault injectors onto the simulator's hooks and returns the stream
+     checker, if any. *)
+  let simulate ?rp ?plan ~attach prog =
+    let machine = ref None and checker = ref None in
+    match
+      let pr =
+        Parexec.Sim.run_parallel ?rp
+          ~attach:(fun m ->
+            machine := Some m;
+            checker := attach m)
+          prog specs ~threads
+      in
+      Guard.Contract.verdict oracle ?plan ?checker:!checker
+        ~exit:pr.Parexec.Sim.pr_exit (Option.get !machine);
+      pr
+    with
+    | exception Guard.Violation.Violation v -> Error (trigger_of v)
+    | exception (Interp.Memory.Fault msg | Interp.Machine.Runtime_error msg) ->
+      Error (Run_failure msg)
+    | pr -> Ok pr
+  in
   (* Rung 0: guarded static expansion. *)
   let static_attempt () =
     match Expand.Transform.expand_loops ?span_shrink orig analyses with
@@ -115,30 +143,12 @@ let run ?(threads = 4) ?reference ?oracle ?span_shrink ?attach_extra
         Option.iter (fun r -> Guard.Contract.revalidate plan r) reference
       with
       | exception Guard.Violation.Violation v -> Error (Static_contract v)
-      | () -> (
-        let checker = ref None in
-        let attach m =
-          ignore (Guard.Span_guard.attach plan m);
-          checker := Some (Guard.Contract.attach oracle plan m);
-          extra m
-        in
-        match
-          Parexec.Sim.run_parallel ~attach res.Expand.Transform.transformed
-            specs ~threads
-        with
-        | exception Guard.Violation.Violation v -> Error (Guard_trip v)
-        | exception Interp.Memory.Fault msg -> Error (Run_failure msg)
-        | exception Interp.Machine.Runtime_error msg ->
-          Error (Run_failure msg)
-        | pr -> (
-          match Option.iter Guard.Contract.finalize !checker with
-          | exception Guard.Violation.Violation v -> Error (Guard_trip v)
-          | () ->
-            if
-              pr.Parexec.Sim.pr_output <> oracle.Guard.Contract.o_output
-              || pr.Parexec.Sim.pr_exit <> oracle.Guard.Contract.o_exit
-            then Error Output_mismatch
-            else Ok pr)))
+      | () ->
+        simulate ~plan res.Expand.Transform.transformed ~attach:(fun m ->
+            ignore (Guard.Span_guard.attach plan m);
+            let checker = Guard.Contract.attach oracle plan m in
+            extra m;
+            Some checker))
   in
   (* The simulated chain (static expansion -> runtime privatization ->
      sequential), entered either directly or as the fallback of the
@@ -158,19 +168,11 @@ let run ?(threads = 4) ?reference ?oracle ?span_shrink ?attach_extra
     | Error trigger -> (
       let diags = ref (diags0 @ [ { fell_from = Static_expansion; trigger } ]) in
       (* Next rung: the original program under runtime privatization. *)
-      let rp_attempt () =
-        let rp = Runtimepriv.Rp.config_of orig analyses in
-        match Parexec.Sim.run_parallel ~rp (rp_program orig) specs ~threads with
-        | exception Interp.Memory.Fault msg -> Error (Run_failure msg)
-        | exception Interp.Machine.Runtime_error msg -> Error (Run_failure msg)
-        | pr ->
-          if
-            pr.Parexec.Sim.pr_output <> oracle.Guard.Contract.o_output
-            || pr.Parexec.Sim.pr_exit <> oracle.Guard.Contract.o_exit
-          then Error Output_mismatch
-          else Ok pr
-      in
-      match rp_attempt () with
+      (* the original program, judged on every pointer-free global *)
+      match
+        simulate ~rp:(Runtimepriv.Rp.config_of orig analyses)
+          (rp_program orig) ~attach:(fun _ -> None)
+      with
       | Ok pr ->
         {
           rung = Runtime_privatization;
@@ -232,26 +234,20 @@ let run ?(threads = 4) ?reference ?oracle ?span_shrink ?attach_extra
             sup.Domexec.Supervisor.sup_outcome = Domexec.Supervisor.Recovered
           in
           match
-            Guard.Contract.check_finals oracle plan r.Domexec.Exec.dx_machine
+            Guard.Contract.verdict oracle ~plan ~exit:r.Domexec.Exec.dx_exit
+              r.Domexec.Exec.dx_machine
           with
           | exception Guard.Violation.Violation v ->
             let trigger =
-              if recovered then Recovery_mismatch (Guard.Violation.to_string v)
-              else Guard_trip v
+              match trigger_of v with
+              | Output_mismatch when recovered ->
+                Recovery_mismatch "output differs from the sequential oracle"
+              | _ when recovered ->
+                Recovery_mismatch (Guard.Violation.to_string v)
+              | t -> t
             in
             Error (trigger, Some sup)
-          | () ->
-            if
-              r.Domexec.Exec.dx_output <> oracle.Guard.Contract.o_output
-              || r.Domexec.Exec.dx_exit <> oracle.Guard.Contract.o_exit
-            then
-              let trigger =
-                if recovered then
-                  Recovery_mismatch "output differs from the sequential oracle"
-                else Output_mismatch
-              in
-              Error (trigger, Some sup)
-            else Ok (r, sup))))
+          | () -> Ok (r, sup))))
   in
   let outcome =
     match exec with

@@ -245,17 +245,22 @@ let count_iterations (prog : Ast.program) (threads : int)
   Interp.Machine.set_global_int st Names.nthreads threads;
   let counts = Hashtbl.create 8 in
   let inv = Hashtbl.create 8 in
+  (* the simulated run's nesting rule: a target loop entered while
+     another is active is plain code, and no invocation of its own *)
+  let active = ref None in
   st.Interp.Machine.loop_hook <-
     Some
       (fun lid ev i ->
         if List.mem lid lids then
-          match ev with
-          | Interp.Machine.Enter ->
+          match (ev, !active) with
+          | Interp.Machine.Enter, None ->
+            active := Some lid;
             Hashtbl.replace inv lid
               (1 + Option.value ~default:(-1) (Hashtbl.find_opt inv lid))
-          | Interp.Machine.Iter ->
+          | Interp.Machine.Iter, Some a when a = lid ->
             Hashtbl.replace counts (lid, Hashtbl.find inv lid) i
-          | Interp.Machine.Exit -> ());
+          | Interp.Machine.Exit, Some a when a = lid -> active := None
+          | _ -> ());
   ignore (Interp.Machine.run m);
   counts
 
@@ -488,10 +493,9 @@ let run_parallel ?(machine = default_machine) ?rp ?heatmap ?attach
         | None -> ()
         | Some spec -> (
           match ev with
+          | Interp.Machine.Enter when Option.is_some !active ->
+            () (* nested: plain code of the active iteration *)
           | Interp.Machine.Enter ->
-            (match !active with
-            | Some _ -> failwith "nested target loops are not supported"
-            | None -> ());
             let invocation =
               let v =
                 1 + Option.value ~default:(-1) (Hashtbl.find_opt invocations lid)

@@ -14,23 +14,15 @@
 let outcome_str (sup : Domexec.Supervisor.t) =
   Domexec.Supervisor.outcome_to_string sup.Domexec.Supervisor.sup_outcome
 
-(* Supervised run of an expanded program, checked byte-for-byte. *)
-let check_identical name oracle plan (sup : Domexec.Supervisor.t) =
+(* Supervised run of an expanded program, judged by the verdict. *)
+let check_identical name oracle res (sup : Domexec.Supervisor.t) =
   match sup.Domexec.Supervisor.sup_result with
   | None ->
     Alcotest.failf "%s: supervision aborted: %s\n%s" name (outcome_str sup)
       (String.concat "\n"
          (List.map Guard.Diag.sup_event_to_string
             sup.Domexec.Supervisor.sup_events))
-  | Some r ->
-    let oracle_out = oracle.Guard.Contract.o_output in
-    Alcotest.(check string)
-      (name ^ ": output byte-identical")
-      oracle_out r.Domexec.Exec.dx_output;
-    Alcotest.(check int)
-      (name ^ ": exit code")
-      oracle.Guard.Contract.o_exit r.Domexec.Exec.dx_exit;
-    Guard.Contract.check_finals oracle plan r.Domexec.Exec.dx_machine
+  | Some r -> Judge.domains oracle res r
 
 let chaos_on (b : Harness.Bench_run.t) (res : Expand.Transform.result)
     ~(layout : string) : unit =
@@ -49,7 +41,7 @@ let chaos_on (b : Harness.Bench_run.t) (res : Expand.Transform.result)
   let sup =
     sup_run (Faultinject.Fault.make ~seed:101 (Faultinject.Fault.Domain_crash 1))
   in
-  check_identical (name "crash") oracle plan sup;
+  check_identical (name "crash") oracle res sup;
   if sup.Domexec.Supervisor.sup_crashes > 0 then
     Alcotest.(check string) (name "crash: recovered") "recovered"
       (outcome_str sup);
@@ -62,7 +54,7 @@ let chaos_on (b : Harness.Bench_run.t) (res : Expand.Transform.result)
     sup_run ~watchdog_ms:2000
       (Faultinject.Fault.make ~seed:102 (Faultinject.Fault.Domain_stall 1))
   in
-  check_identical (name "stall") oracle plan sup;
+  check_identical (name "stall") oracle res sup;
   if sup.Domexec.Supervisor.sup_stalls > 0 then begin
     Alcotest.(check bool) (name "stall: watchdog fired") true
       (sup.Domexec.Supervisor.sup_watchdog_fires > 0);
@@ -77,7 +69,7 @@ let chaos_on (b : Harness.Bench_run.t) (res : Expand.Transform.result)
     sup_run
       (Faultinject.Fault.make ~seed:103 (Faultinject.Fault.Writelog_corrupt 1))
   in
-  check_identical (name "corrupt") oracle plan sup;
+  check_identical (name "corrupt") oracle res sup;
   if sup.Domexec.Supervisor.sup_corruptions > 0 then begin
     Alcotest.(check int) (name "corrupt: every corruption detected")
       sup.Domexec.Supervisor.sup_corruptions
@@ -93,7 +85,7 @@ let chaos_on (b : Harness.Bench_run.t) (res : Expand.Transform.result)
     sup_run
       (Faultinject.Fault.make ~seed:104 (Faultinject.Fault.Steal_contention 8))
   in
-  check_identical (name "steal-contention") oracle plan sup;
+  check_identical (name "steal-contention") oracle res sup;
   Alcotest.(check string) (name "steal-contention: clean") "completed"
     (outcome_str sup)
 

@@ -165,13 +165,11 @@ let expand src =
 
 let run_domains ?(domains = 2) ?chunk src =
   let p, lids, res = expand src in
-  let code0, out0 = Interp.Machine.run_program p in
   let r =
     Domexec.Exec.run ~domains ?chunk ~force:true
       res.Expand.Transform.transformed res.Expand.Transform.plan lids
   in
-  Alcotest.(check string) "output" out0 r.Domexec.Exec.dx_output;
-  Alcotest.(check int) "exit code" code0 r.Domexec.Exec.dx_exit;
+  Judge.domains (Guard.Contract.oracle_of p []) res r;
   r
 
 let first_decision (r : Domexec.Exec.result) =
@@ -298,6 +296,25 @@ int main(void)
 }|}
 
 let zero_trip () = ignore (run_domains ~domains:2 zero_trip_src)
+
+(* A candidate loop entered inside a distributed one runs as plain code
+   of the outer loop's iteration: the outer loop distributes, the inner
+   one is demoted as nested, and the run passes the verdict. *)
+let nested_in_distributed () =
+  let file =
+    if Sys.file_exists "programs" then "programs/nested_doall.c"
+    else "test/programs/nested_doall.c"
+  in
+  let r =
+    run_domains ~domains:2 (In_channel.with_open_bin file In_channel.input_all)
+  in
+  Alcotest.(check (list string))
+    "loop reports"
+    [ "distributed"; "replicated (nested inside another parallelized loop)" ]
+    (List.map
+       (fun (lr : Domexec.Exec.loop_report) ->
+         Domexec.Exec.decision_to_string lr.Domexec.Exec.lr_decision)
+       r.Domexec.Exec.dx_loops)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-pass demotions                                                  *)
@@ -511,8 +528,8 @@ int main(void)
 
 let replay_skip () =
   let p, lids, res = expand exit_src in
-  let code0, out0 = Interp.Machine.run_program p in
-  Alcotest.(check int) "the original exits with 3" 3 code0;
+  let oracle = Guard.Contract.oracle_of p [] in
+  Alcotest.(check int) "the original exits with 3" 3 oracle.Guard.Contract.o_exit;
   let tr = Domexec.Domtrace.create () in
   let r =
     Domexec.Exec.run ~domains:2 ~force:true ~trace:tr
@@ -526,14 +543,10 @@ let replay_skip () =
   Alcotest.(check int)
     "no chunks" 0
     (Array.fold_left ( + ) 0 r.Domexec.Exec.dx_chunks_run);
-  Alcotest.(check string) "output" out0 r.Domexec.Exec.dx_output;
-  Alcotest.(check int) "exit code" 3 r.Domexec.Exec.dx_exit;
+  Judge.domains oracle res r;
   Alcotest.(check string)
     "loop report" "replicated (loop-carried flow dependence)"
     (Domexec.Exec.decision_to_string (first_decision r));
-  Guard.Contract.check_finals
-    (Guard.Contract.oracle_of p [])
-    res.Expand.Transform.plan r.Domexec.Exec.dx_machine;
   Alcotest.(check int)
     "recorder holds no attempt" 0
     (Domexec.Domtrace.attempt_count tr);
@@ -601,18 +614,11 @@ let expected_reports =
 
 let check_workload (b : Harness.Bench_run.t)
     (res : Expand.Transform.result) ~(domains : int) : unit =
-  let oracle = Lazy.force b.Harness.Bench_run.contract_oracle in
   let r =
     Domexec.Exec.run ~domains ~force:true res.Expand.Transform.transformed
       res.Expand.Transform.plan b.Harness.Bench_run.lids
   in
-  Alcotest.(check string)
-    "output byte-identical" oracle.Guard.Contract.o_output
-    r.Domexec.Exec.dx_output;
-  Alcotest.(check int)
-    "exit code" oracle.Guard.Contract.o_exit r.Domexec.Exec.dx_exit;
-  Guard.Contract.check_finals oracle res.Expand.Transform.plan
-    r.Domexec.Exec.dx_machine;
+  Judge.domains (Lazy.force b.Harness.Bench_run.contract_oracle) res r;
   let name = b.Harness.Bench_run.workload.Workloads.Workload.name in
   Alcotest.(check (list (pair (pair int string) (pair int int))))
     "loop reports"
@@ -663,6 +669,8 @@ let () =
           Alcotest.test_case "replicates on carried dep" `Quick
             replicates_on_carried_dep;
           Alcotest.test_case "zero-trip loop" `Quick zero_trip;
+          Alcotest.test_case "nested loop inside a distributed one" `Quick
+            nested_in_distributed;
           Alcotest.test_case "one machine when nothing distributes" `Quick
             replay_skip;
           Alcotest.test_case "steals under imbalance" `Quick

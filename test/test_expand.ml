@@ -1,8 +1,8 @@
 (* Tests for the expansion transformation (Tables 1-3), the §3.4
    optimizations, the parallel simulator, and the runtime-privatization
    baseline. The central property throughout: the transformed program
-   produces byte-identical output, sequentially and under the parallel
-   schedule, at any thread count. *)
+   passes the verdict (output, exit code, final globals), sequentially
+   and under the parallel schedule, at any thread count. *)
 
 open Minic
 
@@ -11,52 +11,29 @@ let analyze_first src =
   let lid = List.hd p.Ast.parallel_loops in
   (p, lid, Privatize.Analyze.analyze p lid)
 
-let run_with_threads prog n =
-  let m = Interp.Machine.load prog in
-  Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads" n;
-  let code = Interp.Machine.run m in
-  (code, Interp.Machine.output m.Interp.Machine.st)
-
-(* Sequential equivalence: original vs expanded with tid = 0 at
-   several thread counts, optimized and not. *)
+(* Sequential equivalence: expanded with tid = 0 at several thread
+   counts, optimized and not. *)
 let check_seq_equiv name src =
   Alcotest.test_case name `Quick (fun () ->
       let p, _, r = analyze_first src in
-      let code0, out0 = Interp.Machine.run_program p in
+      let oracle = Guard.Contract.oracle_of p [] in
       List.iter
         (fun optimize ->
           let res = Expand.Transform.expand ~optimize p r in
-          List.iter
-            (fun n ->
-              let code, out =
-                run_with_threads res.Expand.Transform.transformed n
-              in
-              Alcotest.(check int)
-                (Printf.sprintf "exit (N=%d opt=%b)" n optimize)
-                code0 code;
-              Alcotest.(check string)
-                (Printf.sprintf "output (N=%d opt=%b)" n optimize)
-                out0 out)
-            [ 1; 3; 8 ])
+          List.iter (Judge.sequential oracle res) [ 1; 3; 8 ])
         [ true; false ])
 
-(* Parallel equivalence: simulated parallel run output equals the
-   sequential original at several thread counts. *)
+(* Parallel equivalence: the simulated parallel run at several thread
+   counts. *)
 let check_par_equiv name src =
   Alcotest.test_case name `Quick (fun () ->
       let p, lid, r = analyze_first src in
-      let _, out0 = Interp.Machine.run_program p in
+      let oracle = Guard.Contract.oracle_of p [] in
       let res = Expand.Transform.expand p r in
       let spec = Parexec.Sim.spec_of_analysis r in
       List.iter
         (fun t ->
-          let pr =
-            Parexec.Sim.run_parallel res.Expand.Transform.transformed [ spec ]
-              ~threads:t
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "parallel output T=%d" t)
-            out0 pr.Parexec.Sim.pr_output;
+          let pr = Judge.simulated oracle res [ spec ] ~threads:t in
           Alcotest.(check bool)
             (Printf.sprintf "loop simulated T=%d" t)
             true
@@ -382,21 +359,14 @@ let doacross_sync_grows () =
 
 let runtimepriv_slower_same_output () =
   let p, _, r = analyze_first hmmer_fig3_src in
-  let _, out0 = Interp.Machine.run_program p in
+  let oracle = Guard.Contract.oracle_of p [] in
   let res = Expand.Transform.expand p r in
   let spec = Parexec.Sim.spec_of_analysis r in
   let rp = Runtimepriv.Rp.config_of p [ r ] in
   Alcotest.(check bool) "monitors some accesses" true
     (Hashtbl.length rp.Parexec.Sim.rp_monitored > 0);
-  let plain =
-    Parexec.Sim.run_parallel res.Expand.Transform.transformed [ spec ]
-      ~threads:4
-  in
-  let slow =
-    Parexec.Sim.run_parallel ~rp res.Expand.Transform.transformed [ spec ]
-      ~threads:4
-  in
-  Alcotest.(check string) "same output" out0 slow.Parexec.Sim.pr_output;
+  let plain = Judge.simulated oracle res [ spec ] ~threads:4 in
+  let slow = Judge.simulated ~rp oracle res [ spec ] ~threads:4 in
   Alcotest.(check bool) "runtime privatization costs more" true
     (slow.Parexec.Sim.pr_total > plain.Parexec.Sim.pr_total);
   Alcotest.(check bool) "touched bytes recorded" true
@@ -408,8 +378,10 @@ let runtimepriv_slower_same_output () =
 
 (* Generate random parallel-loop programs: a few privatizable scratch
    structures (array / malloc'd buffer / struct), per-iteration
-   init-then-use, accumulation into shared state. Expansion at T=4 must
-   preserve the output exactly. *)
+   init-then-use, and one sink: accumulation into shared state, or a
+   DOALL store into [outs], which the domain executor distributes. The
+   expanded T=4 run, the simulator at T=4 and 2 forced domains must
+   each pass the verdict. *)
 let gen_program : string QCheck.Gen.t =
   let open QCheck.Gen in
   let* iters = int_range 5 25 in
@@ -419,7 +391,14 @@ let gen_program : string QCheck.Gen.t =
   let* use_helper = bool in
   let* use_field_ptr = bool in
   let* coeff = int_range 1 9 in
-  let* accumulate = bool in
+  let* sink =
+    oneofl
+      [
+        "acc += s;";
+        "results[it % 16] = s; acc = acc + results[it % 16] % 7;";
+        "outs[it] = s;";
+      ]
+  in
   let scratch_decl, scratch_setup, scratch_free =
     if use_heap then
       ( "int *scratch;",
@@ -448,15 +427,13 @@ let gen_program : string QCheck.Gen.t =
     s += slot.buf[slot.n - 1];|}
     else ""
   in
-  let sink =
-    if accumulate then "acc += s;" else "results[it % 16] = s; acc = acc + results[it % 16] % 7;"
-  in
   return
     (Printf.sprintf
        {|
 struct pr { int lo; int hi; };
 struct ref { int *buf; int n; };
 int results[16];
+int outs[32];
 int acc;
 int mix(int seed, int *data, int n)
 {
@@ -484,27 +461,28 @@ int main(void)
     %s
     %s
   }
-  printf("%%d %%d\n", acc, results[3]);
+  printf("%%d %%d %%d %%d\n", acc, results[3], outs[0], outs[4]);
   return 0;
 }|}
        iters scratch_decl scratch_setup asize coeff asize struct_part
        helper_part field_part sink scratch_free)
 
 let random_preservation =
-  QCheck.Test.make ~count:60 ~name:"random programs: expansion preserves output"
+  QCheck.Test.make ~count:60
+    ~name:"random programs: three executors pass the verdict"
     (QCheck.make gen_program ~print:(fun s -> s))
     (fun src ->
-      let p, _, r = analyze_first src in
-      let _, out0 = Interp.Machine.run_program p in
+      let p, lid, r = analyze_first src in
+      let oracle = Guard.Contract.oracle_of p [] in
       let res = Expand.Transform.expand p r in
-      let spec = Parexec.Sim.spec_of_analysis r in
-      let _, out_seq = run_with_threads res.Expand.Transform.transformed 4 in
-      let pr =
-        Parexec.Sim.run_parallel res.Expand.Transform.transformed [ spec ]
-          ~threads:4
-      in
-      String.equal out0 out_seq
-      && String.equal out0 pr.Parexec.Sim.pr_output)
+      Judge.sequential oracle res 4;
+      ignore
+        (Judge.simulated oracle res [ Parexec.Sim.spec_of_analysis r ]
+           ~threads:4);
+      Judge.domains oracle res
+        (Domexec.Exec.run ~domains:2 ~force:true
+           res.Expand.Transform.transformed res.Expand.Transform.plan [ lid ]);
+      true)
 
 let structural_tests =
   [

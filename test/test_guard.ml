@@ -94,18 +94,18 @@ let contract_tests =
         let prog, analyses, oracle = Lazy.force dijkstra in
         let res = Expand.Transform.expand_loops prog analyses in
         let specs = List.map Parexec.Sim.spec_of_analysis analyses in
-        let checker = ref None in
+        let checker = ref None and machine = ref None in
         let attach m =
           checker :=
-            Some (Guard.Contract.attach oracle res.Expand.Transform.plan m)
+            Some (Guard.Contract.attach oracle res.Expand.Transform.plan m);
+          machine := Some m
         in
         let pr =
           Parexec.Sim.run_parallel ~attach res.Expand.Transform.transformed
             specs ~threads:2
         in
-        Guard.Contract.finalize (Option.get !checker);
-        Alcotest.(check string) "output" oracle.Guard.Contract.o_output
-          pr.Parexec.Sim.pr_output;
+        Guard.Contract.verdict oracle ~plan:res.Expand.Transform.plan
+          ?checker:!checker ~exit:pr.Parexec.Sim.pr_exit (Option.get !machine);
         (* with no analyses nothing is monitored: no streams, and the
            unobserved run ends exactly as the observed one *)
         let plain = Guard.Contract.oracle_of prog [] in
@@ -123,6 +123,9 @@ let contract_tests =
           plain.Guard.Contract.o_output;
         Alcotest.(check int) "same exit code" oracle.Guard.Contract.o_exit
           plain.Guard.Contract.o_exit;
+        (* an observer charges no cycles *)
+        Alcotest.(check int) "same cycles" oracle.Guard.Contract.o_cycles
+          plain.Guard.Contract.o_cycles;
         Alcotest.(check (list (pair string string)))
           "same finals" (finals oracle) (finals plain));
     Alcotest.test_case "revalidation rejects an unprovable privatization"
@@ -242,6 +245,83 @@ let ladder_tests =
           oracle.Guard.Contract.o_output o.Harness.Ladder.output);
   ]
 
+(* --- one verdict for every executor ---------------------------------- *)
+
+(* [step] is written in the body, read by the step and not read after
+   the loop: the expansion privatizes it into a local, so the global
+   keeps its pre-loop value (OpenMP's [lastprivate] would copy the last
+   iteration's value back). Every executor's run must be rejected on
+   its final state, and the ladder must hold runtime privatization.
+   When the copy-out lands, every path accepts. *)
+let step_src = {|
+int step;
+int out[64];
+int main(void)
+{
+  int i;
+  int s = 0;
+  step = 1;
+#pragma parallel
+  for (i = 0; i < 60; i = i + step) {
+    step = 1 + i % 2;
+    out[i] = i * 3;
+  }
+  for (i = 0; i < 64; i++) s = s + out[i];
+  printf("%d\n", s);
+  return 0;
+}|}
+
+let step_final =
+  "final state of global 'step' diverges from the sequential oracle at \
+   byte 0 (oracle 0x02, expanded 0x01)"
+
+(* The verdict rejects [run]'s judged run of the expanded program on
+   the final state of 'step'. *)
+let step_rejected run () =
+  let prog, analyses = setup_src "step" step_src in
+  let oracle = Guard.Contract.oracle_of prog [] in
+  let res = Expand.Transform.expand_loops prog analyses in
+  match run prog analyses oracle res with
+  | () -> Alcotest.fail "the verdict accepted the run"
+  | exception Guard.Violation.Violation v ->
+    Alcotest.(check bool)
+      "contract-final" true
+      (v.Guard.Violation.guard = Guard.Violation.Contract_final);
+    Alcotest.(check string) "detail" step_final v.Guard.Violation.detail
+
+let verdict_tests =
+  [
+    Alcotest.test_case "the expanded T=1 run fails on 'step'" `Quick
+      (step_rejected (fun _ _ oracle res -> Judge.sequential oracle res 1));
+    Alcotest.test_case "the simulated T=2 run fails on 'step'" `Quick
+      (step_rejected (fun _ analyses oracle res ->
+           ignore
+             (Judge.simulated oracle res
+                (List.map Parexec.Sim.spec_of_analysis analyses)
+                ~threads:2)));
+    Alcotest.test_case "the 2-domain run fails on 'step'" `Quick
+      (step_rejected (fun prog _ oracle res ->
+           Judge.domains oracle res
+             (Domexec.Exec.run ~domains:2 ~force:true
+                res.Expand.Transform.transformed res.Expand.Transform.plan
+                prog.Ast.parallel_loops)));
+    Alcotest.test_case "the ladder holds runtime privatization" `Quick
+      (fun () ->
+        let prog, analyses = setup_src "step" step_src in
+        let o = Harness.Ladder.run ~threads:2 prog analyses in
+        Alcotest.(check string) "rung" "runtime-privatization"
+          (Harness.Ladder.rung_name o.Harness.Ladder.rung);
+        match o.Harness.Ladder.diagnostics with
+        | [ { Harness.Ladder.fell_from = Harness.Ladder.Static_expansion;
+              trigger = Harness.Ladder.Guard_trip v;
+            } ] ->
+          Alcotest.(check string) "trigger" step_final v.Guard.Violation.detail
+        | ds ->
+          Alcotest.failf "unexpected diagnostics: %s"
+            (String.concat "; "
+               (List.map Harness.Ladder.diagnostic_to_string ds)));
+  ]
+
 (* --- violation plumbing --------------------------------------------- *)
 
 let violation_tests =
@@ -267,5 +347,6 @@ let () =
       ("span_guard", span_guard_tests);
       ("contract", contract_tests);
       ("ladder", ladder_tests);
+      ("verdict", verdict_tests);
       ("violation", violation_tests);
     ]

@@ -62,35 +62,19 @@ int main(void)
   return 0;
 }|}
 
-let run_with_threads prog n =
-  let m = Interp.Machine.load prog in
-  Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads" n;
-  let code = Interp.Machine.run m in
-  (code, Interp.Machine.output m.Interp.Machine.st)
-
 let interleaved_preserves_semantics () =
   let p, _, r = analyze_first struct_src in
-  let _, out0 = Interp.Machine.run_program p in
+  let oracle = Guard.Contract.oracle_of p [] in
   let res = Expand.Transform.expand ~mode:Expand.Plan.Interleaved p r in
-  List.iter
-    (fun n ->
-      let _, out = run_with_threads res.Expand.Transform.transformed n in
-      Alcotest.(check string) (Printf.sprintf "output N=%d" n) out0 out)
-    [ 1; 3; 8 ]
+  List.iter (Judge.sequential oracle res) [ 1; 3; 8 ]
 
 let interleaved_parallel_equiv () =
   let p, _, r = analyze_first struct_src in
-  let _, out0 = Interp.Machine.run_program p in
+  let oracle = Guard.Contract.oracle_of p [] in
   let res = Expand.Transform.expand ~mode:Expand.Plan.Interleaved p r in
   let spec = Parexec.Sim.spec_of_analysis r in
   List.iter
-    (fun t ->
-      let pr =
-        Parexec.Sim.run_parallel res.Expand.Transform.transformed [ spec ]
-          ~threads:t
-      in
-      Alcotest.(check string) (Printf.sprintf "par output T=%d" t) out0
-        pr.Parexec.Sim.pr_output)
+    (fun threads -> ignore (Judge.simulated oracle res [ spec ] ~threads))
     [ 2; 8 ]
 
 let interleaved_rejects_recast () =
@@ -101,10 +85,8 @@ let interleaved_rejects_recast () =
 
 let bonded_handles_recast () =
   let p, _, r = analyze_first recast_src in
-  let _, out0 = Interp.Machine.run_program p in
   let res = Expand.Transform.expand p r in
-  let _, out = run_with_threads res.Expand.Transform.transformed 4 in
-  Alcotest.(check string) "bonded output" out0 out
+  Judge.sequential (Guard.Contract.oracle_of p []) res 4
 
 (* The ablation of §3.1: bonded keeps a thread's copy in one cache
    line, interleaving scatters its members over several. Under the

@@ -1,9 +1,9 @@
 (* End-to-end pipeline tests over the sample .c programs in
    test/programs: each must parse, analyze to its golden
-   dependence-graph digests, expand, preserve output sequentially at
-   several thread counts, and match under the simulated parallel
-   schedule. This is the coverage the dsexpand CLI relies on for
-   user-supplied files. *)
+   dependence-graph digests, expand, and pass the verdict (output,
+   exit code, final globals) sequentially at several thread counts and
+   under the simulated parallel schedule. This is the coverage the
+   dsexpand CLI relies on for user-supplied files. *)
 
 open Minic
 
@@ -22,8 +22,8 @@ let read_file path =
 (* Golden dependence-graph digests (see golden.ml), one per parallel
    loop, recorded with the earlier per-byte-record profiler (the
    early-return programs, nested.c and passmates.c with the per-loop
-   profiler that came before the single pass). A new program needs an
-   entry. *)
+   profiler that came before the single pass, nested_doall.c with the
+   single pass). A new program needs an entry. *)
 let golden =
   [
     ("early_return.c", [ "35baff681ad01558fae05ff621c73cb7" ]);
@@ -34,6 +34,9 @@ let golden =
         "2ce227ace167b14ff962c8f578efe611";
         "253446bd49662109f4ae61ca8a7de8a3";
       ] );
+    ( "nested_doall.c",
+      [ "91c72e9806c88f69a6cfe291f8b29975"; "d8605a0b79f48721d2840717cfa64902" ]
+    );
     ( "passmates.c",
       [ "60aa6cfc645c3b2f27a6796418a7e5c2"; "0494b80b2b20707443a378e6334ac75a" ]
     );
@@ -47,10 +50,6 @@ let golden =
     ("wordhist.c", [ "e4b0476f1e69371f4450ee12da45d253" ]);
   ]
 
-(* The simulator runs one target loop at a time, so a program whose
-   parallel loops nest simulates the loops listed here only. *)
-let simulated = [ ("nested.c", [ 1 ]) ]
-
 let pipeline name src () =
   let p = Typecheck.parse_and_check ~file:name src in
   let lids = p.Ast.parallel_loops in
@@ -59,38 +58,14 @@ let pipeline name src () =
   (match List.assoc_opt name golden with
   | Some digests -> Golden.check name digests analyses
   | None -> Alcotest.failf "%s: no golden digest recorded" name);
-  let _, out0 = Interp.Machine.run_program p in
+  let oracle = Guard.Contract.oracle_of p [] in
   let res = Expand.Transform.expand_loops p analyses in
-  (* sequential equivalence at several N *)
+  List.iter (Judge.sequential oracle res) [ 1; 5 ];
+  (* a target loop entered inside another runs as plain code of the
+     outer loop's iteration *)
+  let specs = List.map Parexec.Sim.spec_of_analysis analyses in
   List.iter
-    (fun n ->
-      let m = Interp.Machine.load res.Expand.Transform.transformed in
-      Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads" n;
-      ignore (Interp.Machine.run m);
-      Alcotest.(check string)
-        (Printf.sprintf "sequential N=%d" n)
-        out0
-        (Interp.Machine.output m.Interp.Machine.st))
-    [ 1; 5 ];
-  (* simulated parallel equivalence *)
-  let specs =
-    List.filter_map
-      (fun (a : Privatize.Analyze.result) ->
-        let g = a.Privatize.Analyze.profile.Depgraph.Profiler.graph in
-        match List.assoc_opt name simulated with
-        | Some lids when not (List.mem g.Depgraph.Graph.loop lids) -> None
-        | _ -> Some (Parexec.Sim.spec_of_analysis a))
-      analyses
-  in
-  List.iter
-    (fun t ->
-      let pr =
-        Parexec.Sim.run_parallel res.Expand.Transform.transformed specs
-          ~threads:t
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "parallel T=%d" t)
-        out0 pr.Parexec.Sim.pr_output)
+    (fun threads -> ignore (Judge.simulated oracle res specs ~threads))
     [ 2; 8 ];
   (* the pretty-printed transformed program re-parses and still
      behaves identically (the CLI prints it for user consumption) *)
@@ -98,11 +73,9 @@ let pipeline name src () =
     Pretty.program_to_string res.Expand.Transform.transformed
   in
   let reparsed = Typecheck.parse_and_check ~file:(name ^ ".out") printed in
-  let m = Interp.Machine.load reparsed in
-  Interp.Machine.set_global_int m.Interp.Machine.st "__nthreads" 3;
-  ignore (Interp.Machine.run m);
-  Alcotest.(check string) "reparsed transformed output" out0
-    (Interp.Machine.output m.Interp.Machine.st)
+  Judge.sequential oracle
+    { res with Expand.Transform.transformed = reparsed }
+    3
 
 let () =
   let files = Sys.readdir programs_dir in
