@@ -129,7 +129,8 @@ let par ?(rp = false) ?(heatmap = false) (b : t) ~threads :
         (fun attach ->
           Parexec.Sim.run_parallel ~attach
             ?rp:(if rp then Some (Lazy.force b.rp) else None)
-            ?heatmap:(if heatmap then Some (heat_classifier b.expanded) else None)
+            ?heatmap:
+              (if heatmap then Some (heat_classifier b.expanded) else None)
             b.expanded.Expand.Transform.transformed b.specs ~threads)
         pr_exit
     in
